@@ -173,6 +173,23 @@ done
 $MULTICORE_TIMEOUT cargo bench -q --offline -p ftspm-bench --bench multicore
 test -s results/BENCH_multicore.json
 
+# Committed-artifact gate: `repro all` stdout must equal the committed
+# results/repro_all.txt byte for byte. The output is thread-count
+# invariant (pinned by repro_determinism above), so one run suffices; it
+# runs in a temp dir so the CSVs it writes cannot touch results/.
+ARTIFACT_DIR="$(mktemp -d)"
+(cd "$ARTIFACT_DIR" && "$REPRO" all > stdout.txt)
+cmp "$ARTIFACT_DIR/stdout.txt" results/repro_all.txt
+rm -rf "$ARTIFACT_DIR"
+
+# Benchmark gate: the benchmark package's own tests, then one short
+# paper_suite run from the repo root. The run exits 1 if the suite CSV
+# drifts by one byte from results/suite.csv or if the split
+# profile/MDA/run pipeline disagrees with evaluate_workload.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_suite --seed 0 --seconds 1 --trace 0 > /dev/null
+
 # Doc gate: the public API is documented; rustdoc warnings (broken
 # intra-doc links, missing docs on re-exports) fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

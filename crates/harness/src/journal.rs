@@ -48,23 +48,37 @@ pub const MAGIC: [u8; 8] = *b"FTSPMJNL";
 /// Current framing version.
 pub const VERSION: u32 = 1;
 
-/// IEEE CRC-32 (the zlib/PNG polynomial, reflected), bitwise.
+/// IEEE CRC-32 (the zlib/PNG polynomial, reflected), one table lookup
+/// per byte.
 ///
-/// Journal payloads are small (a handful of rendered artifacts per
-/// shard), so the table-free form is plenty and keeps the module
-/// dependency-free.
+/// Journal records and every `FTSPMTRC` chunk are framed with it, so a
+/// trace upload pays it once per byte.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFF_u32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting byte `i` through
+/// the bitwise algorithm.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
 
 /// What the decoder found at the end of the byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,5 +351,42 @@ impl Journal {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::crc32;
+    use ftspm_testkit::rng::Rng;
+
+    /// The bit-serial definition the table is derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFF_u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn table_crc32_matches_bitwise_on_random_buffers() {
+        let mut rng = Rng::seed_from_u64(0xC3C3_2024);
+        let lengths = (0..8).chain([31, 64, 257, 1000, 4096]);
+        for len in lengths {
+            for _ in 0..16 {
+                let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}: {buf:?}");
+            }
+        }
     }
 }

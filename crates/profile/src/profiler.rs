@@ -107,6 +107,15 @@ struct Counters {
     last: u64,
 }
 
+/// ACE-tracking state of one data word.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordState {
+    /// Cycle of the last access.
+    last_access: u64,
+    /// Whether the word has been accessed at all.
+    touched: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct ActiveFrame {
     block: BlockId,
@@ -125,26 +134,29 @@ pub struct Profiler {
     last_data_block: Option<BlockId>,
     cur_depth: u32,
     episodes: Vec<Episode>,
-    /// Per data block, per word: cycle of the last access (ACE tracking).
-    last_word_access: Vec<Vec<u64>>,
-    /// Per data block, per word: whether the word has been accessed.
-    word_touched: Vec<Vec<bool>>,
+    /// Per-word ACE state of every data block, block after block.
+    words: Vec<WordState>,
+    /// Per block: `(index of its first word in words, word count)`; code
+    /// blocks own no words.
+    word_span: Vec<(usize, usize)>,
 }
 
 impl Profiler {
     /// Creates a profiler for `program`.
     pub fn new(program: &Program) -> Self {
-        let (last_word_access, word_touched) = program
+        let mut total = 0;
+        let word_span = program
             .iter()
             .map(|(_, spec)| {
-                if spec.kind() == BlockKind::Data {
-                    let words = (spec.size_bytes() / 4) as usize;
-                    (vec![0u64; words], vec![false; words])
+                let words = if spec.kind() == BlockKind::Data {
+                    (spec.size_bytes() / 4) as usize
                 } else {
-                    (Vec::new(), Vec::new())
-                }
+                    0
+                };
+                total += words;
+                (total - words, words)
             })
-            .unzip();
+            .collect();
         Self {
             counters: vec![Counters::default(); program.len()],
             call_stack: Vec::new(),
@@ -152,8 +164,8 @@ impl Profiler {
             last_data_block: None,
             cur_depth: 0,
             episodes: Vec::new(),
-            last_word_access,
-            word_touched,
+            words: vec![WordState::default(); total],
+            word_span,
         }
     }
 
@@ -243,14 +255,17 @@ impl Observer for Profiler {
             // during which a flipped bit would have been consumed; a span
             // ending in a write is dead time (the value is overwritten).
             let idx = e.block.index();
-            if !self.last_word_access[idx].is_empty() {
-                let w = (e.offset / 4) as usize % self.last_word_access[idx].len();
-                if e.kind == AccessKind::Read && self.word_touched[idx][w] {
-                    self.counters[idx].lifetime +=
-                        e.cycle.saturating_sub(self.last_word_access[idx][w]);
+            let (base, len) = self.word_span[idx];
+            if len > 0 {
+                // The machine bounds-checks offsets, so the wrap almost
+                // never divides.
+                let w = (e.offset / 4) as usize;
+                let word = &mut self.words[base + if w < len { w } else { w % len }];
+                if e.kind == AccessKind::Read && word.touched {
+                    self.counters[idx].lifetime += e.cycle.saturating_sub(word.last_access);
                 }
-                self.last_word_access[idx][w] = e.cycle;
-                self.word_touched[idx][w] = true;
+                word.last_access = e.cycle;
+                word.touched = true;
             }
         }
     }

@@ -120,10 +120,20 @@ pub(crate) struct CacheAccess {
 pub struct Cache {
     config: CacheConfig,
     lines: Vec<Line>, // sets * ways
+    /// `log2(line_bytes)`: byte address → line address.
+    line_shift: u32,
+    /// `sets - 1`: line address → set index.
+    set_mask: u32,
+    /// `log2(sets)`: line address → tag.
+    set_shift: u32,
     tick: u64,
     stats: DeviceStats,
     energy: EnergyAccount,
     params: TechParams,
+    /// Per-access read/write energy at this capacity, pJ (computed once;
+    /// the capacity scale takes a `sqrt`).
+    read_pj: f64,
+    write_pj: f64,
 }
 
 impl Cache {
@@ -141,13 +151,20 @@ impl Cache {
             config.line_bytes.is_power_of_two(),
             "line size power of two"
         );
+        let params = Technology::SramUnprotected.params_40nm();
+        let geometry = RegionGeometry::from_bytes(config.capacity_bytes);
         Self {
             config,
             lines: vec![Line::default(); (sets * config.ways) as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             tick: 0,
             stats: DeviceStats::default(),
             energy: EnergyAccount::new(),
-            params: Technology::SramUnprotected.params_40nm(),
+            params,
+            read_pj: params.read_energy_pj(geometry),
+            write_pj: params.write_energy_pj(geometry),
         }
     }
 
@@ -156,11 +173,14 @@ impl Cache {
         self.config
     }
 
-    /// Splits a byte address into `(set base index, tag)`.
+    /// Splits a byte address into `(set base index, tag)`. Line size and
+    /// set count are powers of two (asserted in [`Cache::new`]), so the
+    /// split is shifts and a mask.
+    #[inline]
     fn locate(&self, addr: u32) -> (usize, u32) {
-        let line_addr = addr / self.config.line_bytes;
-        let set = line_addr & (self.config.sets() - 1);
-        let tag = line_addr / self.config.sets();
+        let line_addr = addr >> self.line_shift;
+        let set = line_addr & self.set_mask;
+        let tag = line_addr >> self.set_shift;
         ((set * self.config.ways) as usize, tag)
     }
 
@@ -175,6 +195,7 @@ impl Cache {
     /// cache still holds a copy of the line (a read miss then fills
     /// Shared instead of Exclusive). Timing, stats and energy are
     /// identical for either hint value.
+    #[inline]
     pub(crate) fn access_with_hint(
         &mut self,
         addr: u32,
@@ -185,13 +206,12 @@ impl Cache {
         let (base, tag) = self.locate(addr);
         let ways = &mut self.lines[base..base + self.config.ways as usize];
 
-        let geometry = RegionGeometry::from_bytes(self.config.capacity_bytes);
         if is_write {
             self.stats.writes += 1;
-            self.energy.add_write(self.params.write_energy_pj(geometry));
+            self.energy.add_write(self.write_pj);
         } else {
             self.stats.reads += 1;
-            self.energy.add_read(self.params.read_energy_pj(geometry));
+            self.energy.add_read(self.read_pj);
         }
 
         // Hit?

@@ -171,6 +171,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
         observer: &'o mut dyn Observer,
         config: CpuConfig,
     ) -> Self {
+        machine.set_observes_accesses(observer.observes_accesses());
         Self {
             machine,
             observer,
@@ -206,6 +207,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
         self.op_tap.take().unwrap_or_default()
     }
 
+    #[inline]
     fn tap(&mut self, cycle: u64, op: CpuOp) {
         if let Some(buf) = self.op_tap.as_mut() {
             buf.push(TappedOp { cycle, op });
@@ -218,6 +220,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     }
 
     /// Elapsed cycles.
+    #[inline]
     pub fn cycle(&self) -> u64 {
         self.machine.cycle()
     }
@@ -232,6 +235,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
         self.max_sp
     }
 
+    #[inline]
     fn stack_block(&self) -> Result<BlockId, SimError> {
         self.machine
             .program()
@@ -249,6 +253,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// [`SimError::StackOverflow`] if the frame does not fit the stack
     /// block, [`SimError::NoStackBlock`] if frames are non-empty but the
     /// program declared no stack.
+    #[inline]
     pub fn call(&mut self, block: BlockId) -> Result<(), SimError> {
         let cycle = self.machine.cycle();
         let spec = self.machine.program().block(block);
@@ -290,6 +295,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::CallStackUnderflow`] if no call is active.
+    #[inline]
     pub fn ret(&mut self) -> Result<(), SimError> {
         let cycle = self.machine.cycle();
         let frame = self.call_stack.pop().ok_or(SimError::CallStackUnderflow)?;
@@ -316,6 +322,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::CallStackUnderflow`] if no code block is active.
+    #[inline]
     pub fn execute(&mut self, count: u32) -> Result<(), SimError> {
         if count == 0 {
             return Ok(());
@@ -329,6 +336,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// The untapped fetch path: also used for the implicit fetch charged
     /// per data op, which a tap must NOT capture — replaying the data op
     /// regenerates it.
+    #[inline]
     fn fetch_ops(&mut self, count: u32) -> Result<(), SimError> {
         if count == 0 {
             return Ok(());
@@ -343,6 +351,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
         Ok(())
     }
 
+    #[inline]
     fn data_op_fetch(&mut self) -> Result<(), SimError> {
         if self.config.fetch_per_data_op && !self.call_stack.is_empty() {
             self.fetch_ops(1)?;
@@ -355,6 +364,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
+    #[inline]
     pub fn read_u32(&mut self, block: BlockId, offset: u32) -> Result<u32, SimError> {
         let cycle = self.machine.cycle();
         self.data_op_fetch()?;
@@ -375,6 +385,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
+    #[inline]
     pub fn write_u32(&mut self, block: BlockId, offset: u32, value: u32) -> Result<(), SimError> {
         let cycle = self.machine.cycle();
         self.data_op_fetch()?;
@@ -396,6 +407,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
+    #[inline]
     pub fn read_u8(&mut self, block: BlockId, offset: u32) -> Result<u8, SimError> {
         let word_off = offset & !3;
         let word = self.read_u32(block, word_off)?;
@@ -407,6 +419,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
+    #[inline]
     pub fn write_u8(&mut self, block: BlockId, offset: u32, value: u8) -> Result<(), SimError> {
         let word_off = offset & !3;
         // Peek the current word without charging a second access: hardware
@@ -423,6 +436,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// Propagates bounds/underflow errors.
+    #[inline]
     pub fn stack_read_u32(&mut self, offset: u32) -> Result<u32, SimError> {
         let cycle = self.machine.cycle();
         let frame = *self.call_stack.last().ok_or(SimError::CallStackUnderflow)?;
@@ -440,6 +454,7 @@ impl<'m, 'o> Cpu<'m, 'o> {
     /// # Errors
     ///
     /// Propagates bounds/underflow errors.
+    #[inline]
     pub fn stack_write_u32(&mut self, offset: u32, value: u32) -> Result<(), SimError> {
         let cycle = self.machine.cycle();
         let frame = *self.call_stack.last().ok_or(SimError::CallStackUnderflow)?;

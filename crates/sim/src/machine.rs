@@ -145,7 +145,12 @@ pub struct Machine {
     dram: Dram,
     cycle: u64,
     instructions: u64,
-    resident: Vec<bool>,
+    /// Resolved-slot table: `(region, base offset)` of every SPM-resident
+    /// block, `None` for blocks that are off-chip or not mapped in — so a
+    /// resident access costs one load instead of a placement lookup.
+    /// [`Machine::dma_fill`] sets an entry; every eviction, remap and
+    /// quarantine clears it.
+    slots: Vec<Option<(crate::RegionId, u32)>>,
     dirty: Vec<bool>,
     /// Non-DMA (program) reads/writes per region.
     program_rw: Vec<(u64, u64)>,
@@ -176,7 +181,21 @@ pub struct Machine {
     /// Multi-core coherence hub (`None` on a plain single-core machine;
     /// every snoop/sharer hook is then skipped entirely).
     coh: Option<Box<CoherenceHub>>,
+    /// Whether the attached observer wants [`AccessEvent`]s (see
+    /// [`Observer::observes_accesses`]); when false none is built.
+    observe_accesses: bool,
     finished: bool,
+}
+
+/// `offset % size`, dividing only when `offset` has actually run past the
+/// end of the block.
+#[inline]
+fn wrap_offset(offset: u32, size: u32) -> u32 {
+    if offset < size {
+        offset
+    } else {
+        offset % size
+    }
 }
 
 /// A sorted, coalescing free-interval list for one region's dynamic pool.
@@ -312,7 +331,7 @@ impl Machine {
             dram,
             cycle: 0,
             instructions: 0,
-            resident: vec![false; n],
+            slots: vec![None; n],
             dirty: vec![false; n],
             program_rw: vec![(0, 0); n_regions],
             dyn_offset: vec![None; n],
@@ -325,6 +344,7 @@ impl Machine {
             fault_marked: 0,
             deadline: config.deadline_cycles.unwrap_or(u64::MAX),
             coh: None,
+            observe_accesses: true,
             finished: false,
         };
         m.fault_wear = m
@@ -375,6 +395,13 @@ impl Machine {
     /// The SPM regions in id order.
     pub fn regions(&self) -> &[SpmRegion] {
         &self.regions
+    }
+
+    /// Records whether the observer driving the next accesses consumes
+    /// [`AccessEvent`]s ([`crate::Cpu`] caches its observer's answer
+    /// here).
+    pub(crate) fn set_observes_accesses(&mut self, on: bool) {
+        self.observe_accesses = on;
     }
 
     /// The cycle-budget gate on every CPU-visible access: one compare
@@ -650,30 +677,50 @@ impl Machine {
     /// Resolves `block` to its current SPM slot, performing the lazy
     /// map-in DMA (and, for dynamic blocks, allocation plus any LRU
     /// evictions) if needed. Returns `None` for off-chip blocks.
+    ///
+    /// A resident block costs one load of the resolved-slot table. Debug
+    /// builds recompute a resident block's slot from the placement map
+    /// and the dynamic offsets on every call, so every debug-mode test
+    /// checks the table's invalidation rule.
+    #[inline]
     fn ensure_resident(
         &mut self,
         block: BlockId,
         observer: &mut dyn Observer,
     ) -> Option<(crate::RegionId, u32)> {
-        self.last_access[block.index()] = self.cycle;
+        let i = block.index();
+        self.last_access[i] = self.cycle;
+        if let Some(slot) = self.slots[i] {
+            debug_assert_eq!(
+                Some(slot),
+                self.placed_slot(block),
+                "stale resolved slot for {block:?}"
+            );
+            return Some(slot);
+        }
         match self.placement.placement(block) {
             Placement::OffChip => None,
             Placement::Spm { region, offset } => {
-                if !self.resident[block.index()] {
-                    self.dma_fill(block, region, offset, observer);
-                }
+                self.dma_fill(block, region, offset, observer);
                 Some((region, offset))
             }
             Placement::Dynamic { region } => {
-                if self.resident[block.index()] {
-                    return Some((region, self.dyn_offset[block.index()].expect("resident")));
-                }
                 let size = self.program.block(block).size_bytes();
                 let offset = self.dyn_allocate(block, region, size, observer);
+                self.dyn_offset[i] = Some(offset);
                 self.dma_fill(block, region, offset, observer);
-                self.dyn_offset[block.index()] = Some(offset);
                 Some((region, offset))
             }
+        }
+    }
+
+    /// Where the placement map and the dynamic offsets put `block` if it
+    /// is resident — the value its resolved slot must cache.
+    fn placed_slot(&self, block: BlockId) -> Option<(crate::RegionId, u32)> {
+        match self.placement.placement(block) {
+            Placement::Spm { region, offset } => Some((region, offset)),
+            Placement::Dynamic { region } => self.dyn_offset[block.index()].map(|o| (region, o)),
+            Placement::OffChip => None,
         }
     }
 
@@ -698,17 +745,19 @@ impl Machine {
             fs.marks[region.index()].clear_range(offset / 4, words);
             self.fault_refresh_marked(region.index());
         }
-        self.resident[block.index()] = true;
+        self.slots[block.index()] = Some((region, offset));
         self.dirty[block.index()] = false;
-        observer.on_access(&AccessEvent {
-            cycle: self.cycle,
-            block,
-            kind: AccessKind::Write,
-            target: Target::Region(region),
-            offset: 0,
-            dma: true,
-            count: words,
-        });
+        if self.observe_accesses {
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind: AccessKind::Write,
+                target: Target::Region(region),
+                offset: 0,
+                dma: true,
+                count: words,
+            });
+        }
     }
 
     /// Carves `size` bytes out of `region`'s dynamic pool, evicting
@@ -735,7 +784,7 @@ impl Machine {
                 .map(|(id, _)| id)
                 .filter(|&id| {
                     id != for_block
-                        && self.resident[id.index()]
+                        && self.slots[id.index()].is_some()
                         && self.placement.placement(id) == (Placement::Dynamic { region })
                 })
                 .min_by_key(|id| self.last_access[id.index()])
@@ -758,7 +807,7 @@ impl Machine {
         if self.dirty[block.index()] {
             self.writeback(block, region, offset, observer);
         }
-        self.resident[block.index()] = false;
+        self.slots[block.index()] = None;
         self.dyn_offset[block.index()] = None;
         self.dyn_free[region.index()].free(offset, size);
     }
@@ -785,15 +834,17 @@ impl Machine {
         cycles += self.dram.write_burst(block, 0, &buf);
         self.cycle += u64::from(cycles);
         self.dirty[block.index()] = false;
-        observer.on_access(&AccessEvent {
-            cycle: self.cycle,
-            block,
-            kind: AccessKind::Read,
-            target: Target::Region(region),
-            offset: 0,
-            dma: true,
-            count: words,
-        });
+        if self.observe_accesses {
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind: AccessKind::Read,
+                target: Target::Region(region),
+                offset: 0,
+                dma: true,
+                count: words,
+            });
+        }
     }
 
     /// Executes `count` sequential instruction fetches of `block` starting
@@ -803,6 +854,7 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::WrongBlockKind`] if `block` is not code.
+    #[inline]
     pub(crate) fn fetch(
         &mut self,
         block: BlockId,
@@ -821,6 +873,7 @@ impl Machine {
         if self.cycle >= self.fault_gate {
             self.fault_tick(observer);
         }
+        let start = wrap_offset(pc_offset, size);
         let mut slot = self.ensure_resident(block, observer);
         if let Some((region, offset)) = slot {
             // Entering the decode branch is only needed when the region
@@ -829,22 +882,14 @@ impl Machine {
             // below cannot observe a different slot, because no cycles
             // were charged and no recovery ran.
             if self.fault_decode_needed(region) {
-                self.fault_decode_span(
-                    block,
-                    region,
-                    offset,
-                    pc_offset % size,
-                    size,
-                    count,
-                    observer,
-                );
+                self.fault_decode_span(block, region, offset, start, size, count, observer);
                 // Recovery may have quarantined a line and remapped the
                 // block mid-fetch; re-resolve its slot.
                 slot = self.ensure_resident(block, observer);
             }
         }
         self.instructions += u64::from(count);
-        let mut pc = pc_offset % size;
+        let mut pc = start;
         match slot {
             Some((region, offset)) => {
                 // Fetches need no values, so they are charged as a batch of
@@ -852,16 +897,18 @@ impl Machine {
                 let cycles = self.regions[region.index()].read_batch(offset + pc, count);
                 self.program_rw[region.index()].0 += u64::from(count);
                 self.cycle += u64::from(cycles);
-                pc = (pc + 4 * count) % size;
-                observer.on_access(&AccessEvent {
-                    cycle: self.cycle,
-                    block,
-                    kind: AccessKind::Fetch,
-                    target: Target::Region(region),
-                    offset: pc,
-                    dma: false,
-                    count,
-                });
+                pc = wrap_offset(pc + 4 * count, size);
+                if self.observe_accesses {
+                    observer.on_access(&AccessEvent {
+                        cycle: self.cycle,
+                        block,
+                        kind: AccessKind::Fetch,
+                        target: Target::Region(region),
+                        offset: pc,
+                        dma: false,
+                        count,
+                    });
+                }
             }
             None => {
                 for _ in 0..count {
@@ -875,16 +922,18 @@ impl Machine {
                         cycles += self.dram_charge_write(acc.writeback_words);
                     }
                     self.cycle += u64::from(cycles);
-                    observer.on_access(&AccessEvent {
-                        cycle: self.cycle,
-                        block,
-                        kind: AccessKind::Fetch,
-                        target: Target::ICache { hit: acc.hit },
-                        offset: pc,
-                        dma: false,
-                        count: 1,
-                    });
-                    pc = (pc + 4) % size;
+                    if self.observe_accesses {
+                        observer.on_access(&AccessEvent {
+                            cycle: self.cycle,
+                            block,
+                            kind: AccessKind::Fetch,
+                            target: Target::ICache { hit: acc.hit },
+                            offset: pc,
+                            dma: false,
+                            count: 1,
+                        });
+                    }
+                    pc = wrap_offset(pc + 4, size);
                 }
             }
         }
@@ -900,6 +949,7 @@ impl Machine {
     }
 
     /// Reads one aligned word of a data block.
+    #[inline]
     pub(crate) fn read_word(
         &mut self,
         block: BlockId,
@@ -945,19 +995,22 @@ impl Machine {
             }
         };
         self.cycle += u64::from(cycles);
-        observer.on_access(&AccessEvent {
-            cycle: self.cycle,
-            block,
-            kind: AccessKind::Read,
-            target,
-            offset,
-            dma: false,
-            count: 1,
-        });
+        if self.observe_accesses {
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind: AccessKind::Read,
+                target,
+                offset,
+                dma: false,
+                count: 1,
+            });
+        }
         Ok(value)
     }
 
     /// Writes one aligned word of a data block.
+    #[inline]
     pub(crate) fn write_word(
         &mut self,
         block: BlockId,
@@ -1006,15 +1059,17 @@ impl Machine {
             }
         };
         self.cycle += u64::from(cycles);
-        observer.on_access(&AccessEvent {
-            cycle: self.cycle,
-            block,
-            kind: AccessKind::Write,
-            target,
-            offset,
-            dma: false,
-            count: 1,
-        });
+        if self.observe_accesses {
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind: AccessKind::Write,
+                target,
+                offset,
+                dma: false,
+                count: 1,
+            });
+        }
         Ok(())
     }
 
@@ -1482,15 +1537,10 @@ impl Machine {
         for (block, p) in self.placement.iter() {
             let (r, base) = match p {
                 Placement::Spm { region: r, offset } => (r, offset),
-                Placement::Dynamic { region: r } => {
-                    if !self.resident[block.index()] {
-                        continue;
-                    }
-                    match self.dyn_offset[block.index()] {
-                        Some(off) => (r, off),
-                        None => continue,
-                    }
-                }
+                Placement::Dynamic { region: r } => match self.dyn_offset[block.index()] {
+                    Some(off) => (r, off),
+                    None => continue,
+                },
                 Placement::OffChip => continue,
             };
             if r != region {
@@ -1544,16 +1594,11 @@ impl Machine {
     fn remap_block(&mut self, block: BlockId, observer: &mut dyn Observer) {
         let old = self.placement.placement(block);
         let Some(region) = old.region() else { return };
-        if self.resident[block.index()] {
-            let offset = match old {
-                Placement::Spm { offset, .. } => offset,
-                Placement::Dynamic { .. } => self.dyn_offset[block.index()].expect("resident"),
-                Placement::OffChip => unreachable!("off-chip blocks have no region"),
-            };
+        if let Some((_, offset)) = self.slots[block.index()] {
             if self.dirty[block.index()] {
                 self.writeback(block, region, offset, observer);
             }
-            self.resident[block.index()] = false;
+            self.slots[block.index()] = None;
             if old.is_dynamic() {
                 let size = self.program.block(block).size_bytes();
                 self.dyn_offset[block.index()] = None;
@@ -1608,15 +1653,17 @@ impl Machine {
     ) {
         let Some((block, base)) = owner else { return };
         self.coh_observe_fault(block, kind);
-        observer.on_access(&AccessEvent {
-            cycle: self.cycle,
-            block,
-            kind,
-            target: Target::Region(region),
-            offset: woff.saturating_sub(base),
-            dma: false,
-            count,
-        });
+        if self.observe_accesses {
+            observer.on_access(&AccessEvent {
+                cycle: self.cycle,
+                block,
+                kind,
+                target: Target::Region(region),
+                offset: woff.saturating_sub(base),
+                dma: false,
+                count,
+            });
+        }
     }
 
     /// The stored word at region byte `woff`, free of timing or energy.
@@ -1635,22 +1682,8 @@ impl Machine {
     /// [`SimError::OffsetOutOfBounds`] on a bad offset.
     pub fn peek_block_word(&self, block: BlockId, offset: u32) -> Result<u32, SimError> {
         self.check_bounds(block, offset, 4)?;
-        if self.resident[block.index()] {
-            let slot = match self.placement.placement(block) {
-                Placement::Spm {
-                    region,
-                    offset: base,
-                } => Some((region, base)),
-                Placement::Dynamic { region } => {
-                    Some((region, self.dyn_offset[block.index()].expect("resident")))
-                }
-                Placement::OffChip => None,
-            };
-            if let Some((region, base)) = slot {
-                let s = self.regions[region.index()].storage();
-                let i = (base + offset) as usize;
-                return Ok(u32::from_le_bytes(s[i..i + 4].try_into().expect("word")));
-            }
+        if let Some((region, base)) = self.slots[block.index()] {
+            return Ok(self.spm_word(region.index(), base + offset));
         }
         Ok(self.dram.peek_word(block, offset))
     }
@@ -1660,23 +1693,15 @@ impl Machine {
     /// statistics. Idempotent after the first call.
     pub fn finish(&mut self, observer: &mut dyn Observer) -> MachineStats {
         if !self.finished {
+            self.observe_accesses = observer.observes_accesses();
             // Write back dirty data blocks (the unmapping commands).
             let ids: Vec<BlockId> = self.program.iter().map(|(id, _)| id).collect();
             for block in ids {
-                if !self.resident[block.index()] || !self.dirty[block.index()] {
+                if !self.dirty[block.index()] || self.program.block(block).kind() != BlockKind::Data
+                {
                     continue;
                 }
-                if self.program.block(block).kind() != BlockKind::Data {
-                    continue;
-                }
-                let slot = match self.placement.placement(block) {
-                    Placement::Spm { region, offset } => Some((region, offset)),
-                    Placement::Dynamic { region } => {
-                        Some((region, self.dyn_offset[block.index()].expect("resident")))
-                    }
-                    Placement::OffChip => None,
-                };
-                if let Some((region, offset)) = slot {
+                if let Some((region, offset)) = self.slots[block.index()] {
                     self.writeback(block, region, offset, observer);
                 }
             }

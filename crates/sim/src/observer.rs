@@ -117,6 +117,15 @@ pub struct RemapEvent {
 /// reference so the hot fetch/decode loops never copy event payloads
 /// into observer calls.
 pub trait Observer {
+    /// Whether this observer consumes [`Observer::on_access`] events.
+    /// The machine asks once per [`crate::Cpu`] and, on `false`, never
+    /// builds an [`AccessEvent`] for it. Only an observer whose
+    /// `on_access` ignores every event may return `false`: the events
+    /// carry no simulation state, so skipping them changes nothing else.
+    fn observes_accesses(&self) -> bool {
+        true
+    }
+
     /// A memory access completed.
     fn on_access(&mut self, _event: &AccessEvent) {}
 
@@ -141,7 +150,11 @@ pub trait Observer {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl Observer for NullObserver {}
+impl Observer for NullObserver {
+    fn observes_accesses(&self) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -150,6 +163,7 @@ mod tests {
     #[test]
     fn null_observer_accepts_events() {
         let mut o = NullObserver;
+        assert!(!o.observes_accesses());
         o.on_access(&AccessEvent {
             cycle: 0,
             block: BlockId(0),

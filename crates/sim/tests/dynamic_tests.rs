@@ -210,3 +210,46 @@ fn thrashing_costs_dma_cycles() {
     );
     cpu.ret().unwrap();
 }
+
+/// The stored word at byte `offset` of region `r`.
+fn region_word(m: &Machine, r: usize, offset: usize) -> u32 {
+    let s = m.regions()[r].storage();
+    u32::from_le_bytes(s[offset..offset + 4].try_into().unwrap())
+}
+
+/// Named regression for the resolved-slot table: an evicted dynamic
+/// block loses its cached slot, so when it comes back at a different
+/// pool offset its accesses follow it there and read back its data.
+#[test]
+fn evicted_block_readmitted_at_new_offset_reads_back_its_data() {
+    let mut m = machine_with_dynamic();
+    let (f, a, b_, c) = (
+        m.program().find("F").unwrap(),
+        m.program().find("A").unwrap(),
+        m.program().find("B").unwrap(),
+        m.program().find("C").unwrap(),
+    );
+    let mut o = NullObserver;
+    {
+        let mut cpu = Cpu::with_config(&mut m, &mut o, no_fetch());
+        cpu.call(f).unwrap();
+        cpu.write_u32(a, 8, 0xAAAA).unwrap(); // A at pool offset 0
+        cpu.write_u32(b_, 8, 0xBBBB).unwrap(); // B at pool offset 1024
+        cpu.read_u32(a, 8).unwrap(); // B is now the LRU
+        cpu.write_u32(c, 8, 0xCCCC).unwrap(); // evicts B; C takes 1024
+    }
+    assert_eq!(region_word(&m, 1, 1024 + 8), 0xCCCC, "C took B's old slot");
+    {
+        let mut cpu = Cpu::with_config(&mut m, &mut o, no_fetch());
+        cpu.read_u32(c, 8).unwrap(); // A is now the LRU
+                                     // B comes back by evicting A, so it lands at offset 0, not 1024.
+        assert_eq!(cpu.read_u32(b_, 8).unwrap(), 0xBBBB);
+        cpu.write_u32(b_, 12, 0xB12).unwrap();
+        assert_eq!(cpu.read_u32(b_, 12).unwrap(), 0xB12);
+        assert_eq!(cpu.read_u32(c, 8).unwrap(), 0xCCCC, "C untouched");
+    }
+    assert_eq!(region_word(&m, 1, 8), 0xBBBB, "B re-admitted at offset 0");
+    assert_eq!(region_word(&m, 1, 12), 0xB12);
+    assert_eq!(m.peek_block_word(b_, 12).unwrap(), 0xB12);
+    assert_eq!(m.dram().peek_word(a, 8), 0xAAAA, "A written back");
+}

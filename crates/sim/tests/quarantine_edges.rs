@@ -8,8 +8,9 @@
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_sim::{
-    Cpu, CpuConfig, FaultConfig, FaultStats, Machine, MachineConfig, NullObserver, Placement,
-    PlacementMap, Program, RegionId, SpmRegionSpec,
+    AccessEvent, AccessKind, BlockId, Cpu, CpuConfig, FaultConfig, FaultStats, Machine,
+    MachineConfig, NullObserver, Observer, Placement, PlacementMap, Program, RegionId, RemapEvent,
+    SpmRegionSpec, Target,
 };
 
 /// Strikes that flip exactly two adjacent bits: on SEC-DED, every strike
@@ -184,4 +185,75 @@ fn quarantined_victim_demotes_to_immune_region() {
         "victim demoted to the immune STT region"
     );
     assert!(m.fault_stats().unwrap().sdc_escapes == 0);
+}
+
+/// Records the first remap and the serving target of every later
+/// program access to the watched block.
+struct RemapWatch {
+    block: BlockId,
+    remapped_to: Option<Option<RegionId>>,
+    targets_after: Vec<Target>,
+}
+
+impl Observer for RemapWatch {
+    fn on_remap(&mut self, e: &RemapEvent) {
+        if e.block == self.block && self.remapped_to.is_none() {
+            self.remapped_to = Some(e.to);
+        }
+    }
+
+    fn on_access(&mut self, e: &AccessEvent) {
+        let program = matches!(e.kind, AccessKind::Read | AccessKind::Write);
+        if self.remapped_to.is_some() && e.block == self.block && program && !e.dma {
+            self.targets_after.push(e.target);
+        }
+    }
+}
+
+/// Named regression for the resolved-slot table: quarantine clears the
+/// demoted block's cached slot, so its next access lands in the demotion
+/// target (with its data intact), never in the quarantined region.
+#[test]
+fn quarantine_remapped_block_next_access_lands_in_demotion_target() {
+    let mut cfg = FaultConfig::new(0xED6E, 30.0);
+    cfg.mbu = double_bit();
+    cfg.targets = Some(vec![RegionId::new(1)]);
+    cfg.quarantine_due_threshold = 1;
+    cfg.demotion = vec![None, Some(RegionId::new(0))];
+    let (mut m, f, d) = setup(cfg);
+    let mut watch = RemapWatch {
+        block: d,
+        remapped_to: None,
+        targets_after: Vec::new(),
+    };
+    let mut cpu = Cpu::with_config(
+        &mut m,
+        &mut watch,
+        CpuConfig {
+            fetch_per_data_op: false,
+        },
+    );
+    cpu.call(f).unwrap();
+    for w in 0..16 {
+        cpu.write_u32(d, w * 4, 0xE000_0000 | w).unwrap();
+    }
+    for _ in 0..60 {
+        for w in 0..16 {
+            // DUE-class strikes never corrupt storage, before or after
+            // the remap.
+            assert_eq!(cpu.read_u32(d, w * 4).unwrap(), 0xE000_0000 | w);
+        }
+    }
+    cpu.ret().unwrap();
+    drop(cpu);
+    assert_eq!(watch.remapped_to, Some(Some(RegionId::new(0))));
+    assert!(!watch.targets_after.is_empty(), "accesses after the remap");
+    assert!(
+        watch
+            .targets_after
+            .iter()
+            .all(|t| *t == Target::Region(RegionId::new(0))),
+        "{:?}",
+        watch.targets_after
+    );
 }
