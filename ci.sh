@@ -183,12 +183,17 @@ cmp "$ARTIFACT_DIR/stdout.txt" results/repro_all.txt
 rm -rf "$ARTIFACT_DIR"
 
 # Benchmark gate: the benchmark package's own tests, then one short
-# paper_suite run from the repo root. The run exits 1 if the suite CSV
-# drifts by one byte from results/suite.csv or if the split
-# profile/MDA/run pipeline disagrees with evaluate_workload.
+# run of each workload from the repo root. Each run exits 1 when its
+# built-in checks fail: paper_suite if the suite CSV drifts by one byte
+# from results/suite.csv or the split profile/MDA/run pipeline disagrees
+# with evaluate_workload; fault_storm if the recovery/multicore rows
+# differ from the committed CSVs; serve_mix if a served body differs
+# from the in-process JobSpec::run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload paper_suite --seed 0 --seconds 1 --trace 0 > /dev/null
+for workload in paper_suite fault_storm serve_mix; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 > /dev/null
+done
 
 # Doc gate: the public API is documented; rustdoc warnings (broken
 # intra-doc links, missing docs on re-exports) fail the build.

@@ -67,8 +67,7 @@ impl Lazy {
     fn suite(&mut self) -> &[WorkloadEvaluation] {
         if self.suite.is_none() {
             eprintln!("[repro] evaluating the 12-workload suite on 3 structures…");
-            self.suite =
-                Some(RunBuilder::new().run_suite(evaluation_set(), OptimizeFor::Reliability));
+            self.suite = Some(RunBuilder::new().run_suite(evaluation_set()));
         }
         self.suite.as_ref().expect("just set")
     }

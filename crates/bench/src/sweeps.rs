@@ -249,11 +249,7 @@ pub fn run_multicore_cell(
 ) -> MulticoreCell {
     let entry = find_multicore(kernel).expect("grid names registered kernels");
     let mut w = entry.build(cores, None);
-    let structure = match kind {
-        StructureKind::Ftspm => SpmStructure::ftspm(),
-        StructureKind::PureSram => SpmStructure::pure_sram(),
-        StructureKind::PureStt => SpmStructure::pure_stt(),
-    };
+    let structure = kind.structure();
     let opts = LiveFaultOptions::builder(MULTICORE_FAULT_SEED, MULTICORE_STRIKE_MEAN)
         .restrict_to(vec![
             RegionRole::DataStt,

@@ -5,7 +5,6 @@
 use std::num::NonZeroUsize;
 
 use ftspm_bench::sweeps;
-use ftspm_core::OptimizeFor;
 use ftspm_harness::{report, RunBuilder};
 use ftspm_workloads::{BitCount, Crc32, QSort, Workload};
 
@@ -55,12 +54,8 @@ fn suite_csv_is_byte_identical_sequential_vs_parallel() {
             Box::new(Crc32::new(0xC3C3)),
         ]
     };
-    let sequential = RunBuilder::new()
-        .threads(nz(1))
-        .run_suite(slice(), OptimizeFor::Reliability);
-    let parallel = RunBuilder::new()
-        .threads(nz(2))
-        .run_suite(slice(), OptimizeFor::Reliability);
+    let sequential = RunBuilder::new().threads(nz(1)).run_suite(slice());
+    let parallel = RunBuilder::new().threads(nz(2)).run_suite(slice());
     assert_eq!(report::suite_csv(&sequential), report::suite_csv(&parallel));
     assert!(sequential.iter().all(|e| e.ftspm.checksum_ok));
 }

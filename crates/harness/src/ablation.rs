@@ -41,17 +41,15 @@ pub fn size_split_sweep(
     optimize: OptimizeFor,
 ) -> Vec<SizeSplitRow> {
     let profile = profile_workload(workload);
-    let program = workload.program().clone();
     splits
         .iter()
         .map(|&(stt, ecc, parity)| {
             assert_eq!(stt + ecc + parity, 16, "data SPM stays 16 KiB");
             let structure = SpmStructure::ftspm_with_sizes(16, stt, ecc, parity);
-            let mapping = run_mda(&program, &profile, &structure, &optimize.thresholds());
             let run = RunBuilder::new()
                 .workload(workload)
                 .structure(&structure, StructureKind::Ftspm)
-                .mapping(mapping)
+                .optimize(optimize)
                 .profile(&profile)
                 .run();
             assert!(run.checksum_ok, "ablation run must self-verify");

@@ -1,12 +1,11 @@
 //! [`RunBuilder`]: the chainable front door to the harness.
 //!
-//! One builder replaces the old quartet of free functions
-//! (`run_on_structure`, `run_on_structure_faulted`, `evaluate_suite`,
-//! `evaluate_suite_threads`), which survive as deprecated wrappers.
 //! Everything the pipeline needs — structure, mapping, profile, fault
 //! options, thread count, observability sink — is an optional chainable
 //! setter with a sensible default; missing inputs are computed
 //! (profiling pass, MDA/baseline mapping) rather than demanded.
+//! [`RunBuilder::try_run`] and [`RunBuilder::try_run_multi`] only pick
+//! the kind of run; one private `drive` does the rest.
 //!
 //! ```no_run
 //! use ftspm_harness::{LiveFaultOptions, RunBuilder};
@@ -23,7 +22,7 @@
 
 use std::num::NonZeroUsize;
 
-use ftspm_core::mda::{run_baseline, run_mda, run_mda_multicore, MdaOutput};
+use ftspm_core::mda::MdaOutput;
 use ftspm_core::{OptimizeFor, SpmStructure};
 use ftspm_obs::Recorder;
 use ftspm_profile::Profile;
@@ -33,70 +32,33 @@ use ftspm_workloads::Workload;
 
 use crate::metrics::{MultiRunMetrics, RunMetrics, StructureKind, WorkloadEvaluation};
 use crate::pipeline::{
-    evaluate_workload_observed, try_profile_multi_workload, try_profile_workload, try_run_inner,
-    try_run_multi_inner, try_run_single_via_multi, LiveFaultOptions, RunError,
+    evaluate_workload_observed, map, profile, run, Job, LiveFaultOptions, RunError,
 };
 
-/// The builder's workload slot: absent, borrowed from the caller, or
-/// owned outright (the deserialized-job-spec path used by
-/// `ftspm-serve`, where no longer-lived owner exists to borrow from).
-enum WorkloadSlot<'a> {
+/// A builder workload slot: absent, borrowed from the caller, or owned
+/// outright (the deserialized-job-spec path used by `ftspm-serve`,
+/// where no longer-lived owner exists to borrow from).
+enum Slot<'a, T: ?Sized + 'a> {
     None,
-    Borrowed(&'a mut dyn Workload),
-    Owned(Box<dyn Workload>),
+    Borrowed(&'a mut T),
+    Owned(Box<T>),
 }
 
-/// The multi-core counterpart of [`WorkloadSlot`].
-enum MultiWorkloadSlot<'a> {
-    None,
-    Borrowed(&'a mut dyn MultiWorkload),
-    Owned(Box<dyn MultiWorkload>),
-}
-
-/// Routes a single-core run through the plain machine or (for the
-/// differential oracle) a 1-core `MultiMachine` — the two must be
-/// byte-identical, which `harness/tests/multicore_differential.rs` pins.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    via_multi: bool,
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    if via_multi {
-        try_run_single_via_multi(
-            workload,
-            structure,
-            kind,
-            mapping,
-            profile,
-            faults,
-            deadline_cycles,
-            observer,
-        )
-    } else {
-        try_run_inner(
-            workload,
-            structure,
-            kind,
-            mapping,
-            profile,
-            faults,
-            deadline_cycles,
-            observer,
-        )
+impl<T: ?Sized> Slot<'_, T> {
+    fn get(&mut self) -> Option<&mut T> {
+        match self {
+            Slot::None => None,
+            Slot::Borrowed(w) => Some(&mut **w),
+            Slot::Owned(b) => Some(b.as_mut()),
+        }
     }
 }
 
 /// Chainable configuration for a harness run.
 ///
 /// Terminal methods: [`run`](Self::run) measures one workload on one
-/// structure; [`run_suite`](Self::run_suite) evaluates a workload set on
+/// structure; [`run_multi`](Self::run_multi) does the same for an N-core
+/// workload; [`run_suite`](Self::run_suite) evaluates a workload set on
 /// FTSPM plus both baselines, sharded over `ftspm_testkit::par`.
 ///
 /// Observability is opt-in and exclusive: attach **either** a raw
@@ -107,12 +69,12 @@ fn dispatch(
 /// With neither attached the run uses [`NullObserver`] — the
 /// near-zero-cost disabled path the `injected_run` bench pins.
 pub struct RunBuilder<'a> {
-    workload: WorkloadSlot<'a>,
-    workload_multi: MultiWorkloadSlot<'a>,
+    workload: Slot<'a, dyn Workload>,
+    workload_multi: Slot<'a, dyn MultiWorkload>,
     cores: Option<usize>,
     structure: Option<(SpmStructure, StructureKind)>,
     mapping: Option<MdaOutput>,
-    profile: Option<Profile>,
+    profile: Option<&'a Profile>,
     optimize: OptimizeFor,
     faults: Option<LiveFaultOptions>,
     deadline_cycles: Option<u64>,
@@ -133,8 +95,8 @@ impl<'a> RunBuilder<'a> {
     /// observability, `FTSPM_THREADS` parallelism.
     pub fn new() -> Self {
         Self {
-            workload: WorkloadSlot::None,
-            workload_multi: MultiWorkloadSlot::None,
+            workload: Slot::None,
+            workload_multi: Slot::None,
             cores: None,
             structure: None,
             mapping: None,
@@ -152,7 +114,7 @@ impl<'a> RunBuilder<'a> {
     /// workloads as a terminal argument).
     #[must_use]
     pub fn workload(mut self, workload: &'a mut dyn Workload) -> Self {
-        self.workload = WorkloadSlot::Borrowed(workload);
+        self.workload = Slot::Borrowed(workload);
         self
     }
 
@@ -162,7 +124,7 @@ impl<'a> RunBuilder<'a> {
     /// no other owner to outlive the builder.
     #[must_use]
     pub fn workload_boxed(mut self, workload: Box<dyn Workload>) -> Self {
-        self.workload = WorkloadSlot::Owned(workload);
+        self.workload = Slot::Owned(workload);
         self
     }
 
@@ -170,7 +132,7 @@ impl<'a> RunBuilder<'a> {
     /// count fixes the machine's.
     #[must_use]
     pub fn workload_multi(mut self, workload: &'a mut dyn MultiWorkload) -> Self {
-        self.workload_multi = MultiWorkloadSlot::Borrowed(workload);
+        self.workload_multi = Slot::Borrowed(workload);
         self
     }
 
@@ -178,7 +140,7 @@ impl<'a> RunBuilder<'a> {
     /// takes ownership (the deserialized-job-spec path).
     #[must_use]
     pub fn workload_multi_boxed(mut self, workload: Box<dyn MultiWorkload>) -> Self {
-        self.workload_multi = MultiWorkloadSlot::Owned(workload);
+        self.workload_multi = Slot::Owned(workload);
         self
     }
 
@@ -217,8 +179,8 @@ impl<'a> RunBuilder<'a> {
     /// A precomputed profiling pass for the same workload. Without one,
     /// [`run`](Self::run) profiles the workload first.
     #[must_use]
-    pub fn profile(mut self, profile: &Profile) -> Self {
-        self.profile = Some(profile.clone());
+    pub fn profile(mut self, profile: &'a Profile) -> Self {
+        self.profile = Some(profile);
         self
     }
 
@@ -328,90 +290,18 @@ impl<'a> RunBuilder<'a> {
     ///
     /// Panics if no workload was attached, or on simulator errors
     /// (workloads and MDA mappings are trusted fixtures).
-    pub fn try_run(self) -> Result<RunMetrics, RunError> {
-        let mut slot = self.workload;
-        let workload: &mut dyn Workload = match &mut slot {
-            WorkloadSlot::None => panic!("RunBuilder::run requires .workload(..)"),
-            WorkloadSlot::Borrowed(w) => *w,
-            WorkloadSlot::Owned(b) => b.as_mut(),
-        };
-        let via_multi = match self.cores {
-            None => false,
-            Some(1) => true,
+    pub fn try_run(mut self) -> Result<RunMetrics, RunError> {
+        let mut slot = std::mem::replace(&mut self.workload, Slot::None);
+        let workload = slot.get().expect("RunBuilder::run requires .workload(..)");
+        let job = match self.cores {
+            None => Job::Plain(workload),
+            Some(1) => Job::ViaMulti(workload),
             Some(n) => panic!(
                 "RunBuilder::try_run with .cores({n}): a single-core workload cannot shard; \
                  attach .workload_multi(..) and call try_run_multi()"
             ),
         };
-        let (structure, kind) = self
-            .structure
-            .unwrap_or_else(|| (SpmStructure::ftspm(), StructureKind::Ftspm));
-
-        let profile = match self.profile {
-            Some(p) => p,
-            None => try_profile_workload(workload, self.deadline_cycles)?,
-        };
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => {
-                let program = workload.program().clone();
-                match kind {
-                    StructureKind::Ftspm => {
-                        run_mda(&program, &profile, &structure, &self.optimize.thresholds())
-                    }
-                    _ => run_baseline(&program, &profile, &structure),
-                }
-            }
-        };
-
-        match (self.recorder, self.observer) {
-            (Some(recorder), _) => {
-                recorder.phase("profile", profile.total_cycles);
-                recorder.phase("mda", 1);
-                // The run span's length is only known afterwards: align
-                // events now, append the span once cycles are in.
-                recorder.align_to_phases();
-                let metrics = dispatch(
-                    via_multi,
-                    workload,
-                    &structure,
-                    kind,
-                    mapping,
-                    &profile,
-                    self.faults.as_ref(),
-                    self.deadline_cycles,
-                    recorder,
-                )?;
-                recorder.phase("run", metrics.cycles);
-                if let Some(stats) = &metrics.recovery {
-                    recorder.record_fault_stats(stats);
-                }
-                recorder.phase("report", 1);
-                Ok(metrics)
-            }
-            (None, Some(observer)) => dispatch(
-                via_multi,
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                observer,
-            ),
-            (None, None) => dispatch(
-                via_multi,
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                &mut NullObserver,
-            ),
-        }
+        Ok(self.drive(job)?.base)
     }
 
     /// Runs the configured N-core workload
@@ -435,8 +325,9 @@ impl<'a> RunBuilder<'a> {
     /// Missing inputs are computed as in [`try_run`](Self::try_run),
     /// with one multi-core twist: the profiling pass also measures
     /// per-block *sharer counts*, and a computed FTSPM mapping uses
-    /// [`run_mda_multicore`] so blocks shared across cores weigh their
-    /// cross-core fault exposure in the eviction and ECC/parity splits.
+    /// [`run_mda_multicore`](ftspm_core::mda::run_mda_multicore) so
+    /// blocks shared across cores weigh their cross-core fault exposure
+    /// in the eviction and ECC/parity splits.
     ///
     /// # Errors
     ///
@@ -447,15 +338,11 @@ impl<'a> RunBuilder<'a> {
     /// Panics if no multi-core workload was attached, if
     /// [`cores`](Self::cores) disagrees with the workload's own core
     /// count, or on simulator errors.
-    pub fn try_run_multi(self) -> Result<MultiRunMetrics, RunError> {
-        let mut slot = self.workload_multi;
-        let workload: &mut dyn MultiWorkload = match &mut slot {
-            MultiWorkloadSlot::None => {
-                panic!("RunBuilder::run_multi requires .workload_multi(..)")
-            }
-            MultiWorkloadSlot::Borrowed(w) => *w,
-            MultiWorkloadSlot::Owned(b) => b.as_mut(),
-        };
+    pub fn try_run_multi(mut self) -> Result<MultiRunMetrics, RunError> {
+        let mut slot = std::mem::replace(&mut self.workload_multi, Slot::None);
+        let workload = slot
+            .get()
+            .expect("RunBuilder::run_multi requires .workload_multi(..)");
         if let Some(cores) = self.cores {
             assert_eq!(
                 cores,
@@ -463,81 +350,63 @@ impl<'a> RunBuilder<'a> {
                 "RunBuilder::cores({cores}) disagrees with the workload's core count"
             );
         }
+        self.drive(Job::Lockstep(workload))
+    }
+
+    /// Shared by [`try_run`](Self::try_run) and
+    /// [`try_run_multi`](Self::try_run_multi): computes a missing
+    /// profile and mapping, then runs `job` into the attached sink.
+    fn drive(self, mut job: Job<'_>) -> Result<MultiRunMetrics, RunError> {
         let (structure, kind) = self
             .structure
             .unwrap_or_else(|| (SpmStructure::ftspm(), StructureKind::Ftspm));
-
+        let computed;
         let (profile, sharers) = match self.profile {
             Some(p) => (p, None),
             None => {
-                let (p, s) = try_profile_multi_workload(workload, self.deadline_cycles)?;
-                (p, Some(s))
+                computed = profile(&mut job, self.deadline_cycles)?;
+                (&computed.0, computed.1.as_deref())
             }
         };
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => {
-                let program = workload.program().clone();
-                match (kind, sharers) {
-                    (StructureKind::Ftspm, Some(sharers)) => run_mda_multicore(
-                        &program,
-                        &profile,
-                        &structure,
-                        &self.optimize.thresholds(),
-                        &sharers,
-                    ),
-                    (StructureKind::Ftspm, None) => {
-                        run_mda(&program, &profile, &structure, &self.optimize.thresholds())
-                    }
-                    _ => run_baseline(&program, &profile, &structure),
-                }
-            }
+        let mapping = self.mapping.unwrap_or_else(|| {
+            map(
+                job.program(),
+                profile,
+                &structure,
+                kind,
+                self.optimize,
+                sharers,
+            )
+        });
+        let faults = self.faults.as_ref();
+        let deadline = self.deadline_cycles;
+        let Some(recorder) = self.recorder else {
+            let mut null = NullObserver;
+            let observer: &mut dyn Observer = match self.observer {
+                Some(observer) => observer,
+                None => &mut null,
+            };
+            return run(
+                &mut job, &structure, kind, mapping, profile, faults, deadline, observer,
+            );
         };
-
-        match (self.recorder, self.observer) {
-            (Some(recorder), _) => {
-                recorder.phase("profile", profile.total_cycles);
-                recorder.phase("mda", 1);
-                recorder.align_to_phases();
-                let metrics = try_run_multi_inner(
-                    workload,
-                    &structure,
-                    kind,
-                    mapping,
-                    &profile,
-                    self.faults.as_ref(),
-                    self.deadline_cycles,
-                    recorder,
-                )?;
-                recorder.phase("run", metrics.base.cycles);
-                if let Some(stats) = &metrics.base.recovery {
-                    recorder.record_fault_stats(stats);
-                }
-                recorder.record_coherence(&metrics.coherence, &metrics.per_core);
-                recorder.phase("report", 1);
-                Ok(metrics)
-            }
-            (None, Some(observer)) => try_run_multi_inner(
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                observer,
-            ),
-            (None, None) => try_run_multi_inner(
-                workload,
-                &structure,
-                kind,
-                mapping,
-                &profile,
-                self.faults.as_ref(),
-                self.deadline_cycles,
-                &mut NullObserver,
-            ),
+        recorder.phase("profile", profile.total_cycles);
+        recorder.phase("mda", 1);
+        // The run span's length is only known afterwards: align events
+        // now, append the span once cycles are in.
+        recorder.align_to_phases();
+        let metrics = run(
+            &mut job, &structure, kind, mapping, profile, faults, deadline, recorder,
+        )?;
+        recorder.phase("run", metrics.base.cycles);
+        if let Some(stats) = &metrics.base.recovery {
+            recorder.record_fault_stats(stats);
         }
+        if matches!(job, Job::Lockstep(_)) {
+            recorder.record_coherence(&metrics.coherence, &metrics.per_core);
+        }
+        recorder.phase("report", 1);
+        Ok(metrics)
     }
 
     /// Evaluates every workload on FTSPM and both baselines, one
@@ -558,11 +427,7 @@ impl<'a> RunBuilder<'a> {
     /// Panics if fault options or a raw observer are attached: live
     /// injection is a single-run feature, and one `&mut` observer
     /// cannot be shared across shards.
-    pub fn run_suite(
-        self,
-        workloads: Vec<Box<dyn Workload>>,
-        optimize: OptimizeFor,
-    ) -> Vec<WorkloadEvaluation> {
+    pub fn run_suite(self, workloads: Vec<Box<dyn Workload>>) -> Vec<WorkloadEvaluation> {
         assert!(
             self.faults.is_none(),
             "RunBuilder::run_suite does not support fault injection; use .faults(..).run() per workload"
@@ -571,6 +436,7 @@ impl<'a> RunBuilder<'a> {
             self.observer.is_none(),
             "RunBuilder::run_suite cannot share one observer across shards; use .recorder(..)"
         );
+        let optimize = self.optimize;
         let threads = self
             .threads
             .unwrap_or_else(ftspm_testkit::par::thread_count);
@@ -583,15 +449,15 @@ impl<'a> RunBuilder<'a> {
                 let sharded = ftspm_testkit::par::par_map_threads(threads, workloads, |mut w| {
                     let mut shard = Recorder::new(config);
                     let eval = evaluate_workload_observed(w.as_mut(), optimize, &mut shard);
-                    let (registry, _trace) = shard.into_parts();
-                    (eval, registry)
+                    (eval, shard.into_parts().0)
                 });
-                let mut evals = Vec::with_capacity(sharded.len());
-                for (eval, registry) in sharded {
-                    recorder.registry_mut().merge(&registry);
-                    evals.push(eval);
-                }
-                evals
+                sharded
+                    .into_iter()
+                    .map(|(eval, registry)| {
+                        recorder.registry_mut().merge(&registry);
+                        eval
+                    })
+                    .collect()
             }
         }
     }

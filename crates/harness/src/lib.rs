@@ -12,11 +12,13 @@
 //!
 //! [`RunBuilder`] is the front door: chain the structure, workload,
 //! fault options, thread count and observability sink, then call
-//! [`RunBuilder::run`] (one workload, one structure) or
+//! [`RunBuilder::run`] (one workload, one structure),
+//! [`RunBuilder::run_multi`] (an N-core workload in lockstep) or
 //! [`RunBuilder::run_suite`] (whole workload set on FTSPM plus both
 //! baselines). [`evaluate_workload`] performs the three-structure
-//! evaluation for a single workload. The `report` module renders the
-//! paper's tables and figures from the results.
+//! evaluation for a single workload. All of them, and the profiling
+//! pass, execute through one private run path. The `report` module
+//! renders the paper's tables and figures from the results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,11 +32,7 @@ pub mod report;
 
 pub use builder::RunBuilder;
 pub use metrics::{MultiRunMetrics, RegionTraffic, RunMetrics, StructureKind, WorkloadEvaluation};
-#[allow(deprecated)]
 pub use pipeline::{
-    evaluate_suite, evaluate_suite_threads, run_on_structure, run_on_structure_faulted,
-};
-pub use pipeline::{
-    evaluate_workload, profile_workload, profiling_structure, try_profile_multi_workload,
-    try_profile_workload, FaultOptionsError, LiveFaultOptions, LiveFaultOptionsBuilder, RunError,
+    evaluate_workload, profile_workload, profiling_structure, FaultOptionsError, LiveFaultOptions,
+    LiveFaultOptionsBuilder, RunError,
 };

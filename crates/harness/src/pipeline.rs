@@ -1,20 +1,21 @@
 //! The profile → map → re-run pipeline.
 //!
-//! The chainable [`crate::RunBuilder`] is the harness front door; the
-//! free functions kept here ([`run_on_structure`], [`evaluate_suite`],
-//! …) are deprecated thin wrappers over it.
+//! Every harness run — the profiling pass, a mapped run on the plain
+//! machine, the 1-core `MultiMachine` oracle and an N-core lockstep run
+//! — goes through one private `execute`; [`crate::RunBuilder`] and
+//! [`evaluate_workload`] are built on it.
 
 use std::fmt;
 
-use ftspm_core::mda::{run_baseline, run_mda, MdaOutput};
+use ftspm_core::mda::{run_baseline, run_mda, run_mda_multicore, MdaOutput};
 use ftspm_core::{reliability, remap, OptimizeFor, RegionRole, SpmStructure};
 use ftspm_ecc::{MbuDistribution, ProtectionScheme};
 use ftspm_mem::{RegionGeometry, Technology};
 use ftspm_profile::{Profile, Profiler};
-use ftspm_sim::MultiMachine;
 use ftspm_sim::{
-    Cpu, FaultConfig, Machine, MachineConfig, NullObserver, Observer, PlacementMap, Program,
-    SimError,
+    BlockKind, CoherenceStats, CoreFaultView, Cpu, FaultConfig, Machine, MachineConfig,
+    MachineStats, MultiMachine, NullObserver, Observer, PlacementMap, Program, SimError,
+    SpmRegionSpec,
 };
 use ftspm_workloads::multicore::{run_lockstep, MultiWorkload};
 use ftspm_workloads::Workload;
@@ -28,27 +29,19 @@ use crate::metrics::{
 /// hold) is mapped and the profile is placement-neutral. This is also the
 /// "ideal situation" the paper's overhead thresholds are defined against.
 pub fn profiling_structure() -> SpmStructure {
+    let ideal = |name| {
+        SpmRegionSpec::new(
+            name,
+            Technology::SramUnprotected,
+            ProtectionScheme::None,
+            RegionGeometry::from_kib(256),
+        )
+    };
     SpmStructure::new(
         "profiling (ideal)",
         vec![
-            (
-                RegionRole::Instruction,
-                ftspm_sim::SpmRegionSpec::new(
-                    "ideal I",
-                    Technology::SramUnprotected,
-                    ProtectionScheme::None,
-                    RegionGeometry::from_kib(256),
-                ),
-            ),
-            (
-                RegionRole::DataStt,
-                ftspm_sim::SpmRegionSpec::new(
-                    "ideal D",
-                    Technology::SramUnprotected,
-                    ProtectionScheme::None,
-                    RegionGeometry::from_kib(256),
-                ),
-            ),
+            (RegionRole::Instruction, ideal("ideal I")),
+            (RegionRole::DataStt, ideal("ideal D")),
         ],
     )
 }
@@ -58,8 +51,8 @@ fn map_everything(program: &Program, structure: &SpmStructure) -> PlacementMap {
     let mut map = PlacementMap::new(program, &specs);
     for (id, spec) in program.iter() {
         let role = match spec.kind() {
-            ftspm_sim::BlockKind::Code => RegionRole::Instruction,
-            ftspm_sim::BlockKind::Data => RegionRole::DataStt,
+            BlockKind::Code => RegionRole::Instruction,
+            BlockKind::Data => RegionRole::DataStt,
         };
         let region = structure.region_id(role).expect("ideal structure roles");
         map.place(program, id, region)
@@ -110,51 +103,9 @@ impl std::error::Error for RunError {}
 /// Panics if the workload misbehaves (out-of-bounds access) — workloads
 /// are trusted fixtures.
 pub fn profile_workload(workload: &mut dyn Workload) -> Profile {
-    try_profile_workload(workload, None).expect("profiling run has no deadline")
-}
-
-/// [`profile_workload`] under an optional cycle budget: the fallible
-/// entry the deadline-bounded serving path uses, so a runaway workload
-/// is cancelled during profiling too, not just during the mapped run.
-///
-/// # Errors
-///
-/// [`RunError::DeadlineExceeded`] when the budget runs out mid-profile.
-///
-/// # Panics
-///
-/// Panics on any other simulator error — workloads are trusted fixtures.
-pub fn try_profile_workload(
-    workload: &mut dyn Workload,
-    deadline_cycles: Option<u64>,
-) -> Result<Profile, RunError> {
-    let program = workload.program().clone();
-    let structure = profiling_structure();
-    let placement = map_everything(&program, &structure);
-    let mut config = MachineConfig::with_regions(structure.specs());
-    config.deadline_cycles = deadline_cycles;
-    let mut machine = Machine::new(config, program.clone(), placement).expect("profiling machine");
-    workload.init(machine.dram_mut());
-    let mut profiler = Profiler::new(&program);
-    {
-        let mut cpu = Cpu::new(&mut machine, &mut profiler);
-        match workload.run(&mut cpu) {
-            Ok(_) => {}
-            Err(SimError::DeadlineExceeded {
-                cycle,
-                deadline_cycles,
-            }) => {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_cycles,
-                    cycle,
-                })
-            }
-            Err(e) => panic!("profiling run failed: {e}"),
-        }
-    }
-    let cycles = machine.cycle();
-    machine.finish(&mut profiler);
-    Ok(profiler.finish(&program, cycles))
+    profile(&mut Job::Plain(workload), None)
+        .expect("profiling run has no deadline")
+        .0
 }
 
 /// Options for a live fault-injected run: the runtime counterpart of the
@@ -366,85 +317,216 @@ impl LiveFaultOptions {
     }
 }
 
-/// Runs `workload` on `structure` under `mapping` and collects metrics.
-///
-/// `profile` must be the profiling-pass output for the same workload (it
-/// feeds the analytic vulnerability model).
-///
-/// # Panics
-///
-/// Panics on simulator errors — mappings produced by MDA are valid by
-/// construction.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder: .workload(w).structure(s, kind).mapping(m).profile(p).run()"
-)]
-pub fn run_on_structure(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-) -> RunMetrics {
-    run_inner(
-        workload,
-        structure,
-        kind,
-        mapping,
-        profile,
-        None,
-        &mut NullObserver,
-    )
+/// The three ways the harness executes a workload.
+pub(crate) enum Job<'w> {
+    /// A single-core kernel on the plain [`Machine`].
+    Plain(&'w mut dyn Workload),
+    /// A single-core kernel on a 1-core [`MultiMachine`]: the
+    /// differential oracle that pins the multi-core machinery as
+    /// byte-inert (`harness/tests/multicore_differential.rs`).
+    ViaMulti(&'w mut dyn Workload),
+    /// An N-core kernel in deterministic lockstep on a [`MultiMachine`].
+    Lockstep(&'w mut dyn MultiWorkload),
 }
 
-/// Like [`run_on_structure`], but with live fault injection, recovery,
-/// scrubbing and graceful degradation active during the run. The
-/// resulting [`RunMetrics::recovery`] carries the fault counters.
-///
-/// # Panics
-///
-/// Panics on simulator errors, as [`run_on_structure`] does.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder: .workload(w).structure(s, kind).mapping(m).profile(p).faults(f).run()"
-)]
-pub fn run_on_structure_faulted(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: &LiveFaultOptions,
-) -> RunMetrics {
-    run_inner(
-        workload,
-        structure,
-        kind,
-        mapping,
-        profile,
-        Some(faults),
-        &mut NullObserver,
-    )
+impl Job<'_> {
+    pub(crate) fn program(&self) -> &Program {
+        match self {
+            Job::Plain(w) | Job::ViaMulti(w) => w.program(),
+            Job::Lockstep(w) => w.program(),
+        }
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            Job::Plain(w) | Job::ViaMulti(w) => w.name(),
+            Job::Lockstep(w) => w.name(),
+        }
+    }
+
+    fn expected_checksum(&self) -> u64 {
+        match self {
+            Job::Plain(w) | Job::ViaMulti(w) => w.expected_checksum(),
+            Job::Lockstep(w) => w.expected_checksum(),
+        }
+    }
+
+    fn cores(&self) -> usize {
+        match self {
+            Job::Plain(_) | Job::ViaMulti(_) => 1,
+            Job::Lockstep(w) => w.cores(),
+        }
+    }
 }
 
-pub(crate) fn run_inner(
-    workload: &mut dyn Workload,
+/// What one [`execute`] call leaves behind. The plain machine has no
+/// sharing side: its coherence counters are zero and the per-core views
+/// and sharer counts empty.
+struct Executed {
+    checksum: u64,
+    /// The machine cycle before `finish` (the profiler's run length).
+    cycles: u64,
+    stats: MachineStats,
+    coherence: CoherenceStats,
+    per_core: Vec<CoreFaultView>,
+    sharer_counts: Vec<u32>,
+}
+
+/// The machine configuration for a run on `structure`.
+fn machine_config(
     structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
     faults: Option<&LiveFaultOptions>,
-    observer: &mut dyn Observer,
-) -> RunMetrics {
-    try_run_inner(
-        workload, structure, kind, mapping, profile, faults, None, observer,
-    )
-    .expect("run without a deadline cannot be cancelled")
+    deadline_cycles: Option<u64>,
+) -> MachineConfig {
+    let mut config = MachineConfig::with_regions(structure.specs());
+    if let Some(opts) = faults {
+        config = config.with_faults(opts.config(structure));
+    }
+    config.deadline_cycles = deadline_cycles;
+    config
 }
 
+/// Builds the machine `job` needs, initialises DRAM, runs the workload
+/// under `observer` and finishes the machine — the one place every
+/// harness run goes through.
+///
+/// # Panics
+///
+/// Panics on any simulator error other than a deadline cut — workloads
+/// and mappings are trusted fixtures.
+fn execute(
+    job: &mut Job<'_>,
+    config: MachineConfig,
+    placement: PlacementMap,
+    observer: &mut dyn Observer,
+    what: &str,
+) -> Result<Executed, RunError> {
+    let cut = |result: Result<u64, SimError>| match result {
+        Ok(checksum) => Ok(checksum),
+        Err(SimError::DeadlineExceeded {
+            cycle,
+            deadline_cycles,
+        }) => Err(RunError::DeadlineExceeded {
+            deadline_cycles,
+            cycle,
+        }),
+        Err(e) => panic!("{what} failed: {e}"),
+    };
+    let program = job.program().clone();
+    let cores = job.cores();
+    // Plain single-core stays on the plain machine: a 1-core
+    // `MultiMachine` would attach the coherence hub and its per-access
+    // hook.
+    if let Job::Plain(w) = job {
+        let mut machine = Machine::new(config, program, placement).expect("harness machine");
+        w.init(machine.dram_mut());
+        let checksum = cut(w.run(&mut Cpu::new(&mut machine, observer)))?;
+        let cycles = machine.cycle();
+        let stats = machine.finish(observer);
+        return Ok(Executed {
+            checksum,
+            cycles,
+            stats,
+            coherence: CoherenceStats::default(),
+            per_core: Vec::new(),
+            sharer_counts: Vec::new(),
+        });
+    }
+    let mut mm = MultiMachine::new(config, program, placement, cores).expect("harness machine");
+    let checksum = match job {
+        Job::ViaMulti(w) => {
+            w.init(mm.machine_mut().dram_mut());
+            cut(mm.with_core(0, observer, |cpu| w.run(cpu)))?
+        }
+        Job::Lockstep(w) => {
+            w.init(mm.machine_mut().dram_mut());
+            cut(run_lockstep(&mut mm, &mut **w, observer))?
+        }
+        Job::Plain(_) => unreachable!("handled above"),
+    };
+    let cycles = mm.machine().cycle();
+    let sharer_counts = mm
+        .machine()
+        .program()
+        .iter()
+        .map(|(id, _)| mm.machine().sharer_mask(id).count_ones())
+        .collect();
+    let stats = mm.finish(observer);
+    Ok(Executed {
+        checksum,
+        cycles,
+        stats,
+        coherence: mm.coherence_stats(),
+        per_core: mm.core_fault_views().to_vec(),
+        sharer_counts,
+    })
+}
+
+/// The profiling pass for `job` on the ideal, placement-neutral
+/// [`profiling_structure`]. Returns the profile plus, for a lockstep
+/// job, per-block sharer counts — the extra dimension
+/// [`ftspm_core::mda::run_mda_multicore`] weights by.
+///
+/// # Errors
+///
+/// [`RunError::DeadlineExceeded`] when the budget runs out mid-profile.
+pub(crate) fn profile(
+    job: &mut Job<'_>,
+    deadline_cycles: Option<u64>,
+) -> Result<(Profile, Option<Vec<u32>>), RunError> {
+    let program = job.program().clone();
+    let structure = profiling_structure();
+    let placement = map_everything(&program, &structure);
+    let config = machine_config(&structure, None, deadline_cycles);
+    let mut profiler = Profiler::new(&program);
+    let ran = match job {
+        // The 1-core oracle profiles on the plain machine, as a plain
+        // run does.
+        Job::ViaMulti(w) => execute(
+            &mut Job::Plain(&mut **w),
+            config,
+            placement,
+            &mut profiler,
+            "profiling run",
+        )?,
+        _ => execute(job, config, placement, &mut profiler, "profiling run")?,
+    };
+    let sharers = matches!(job, Job::Lockstep(_)).then_some(ran.sharer_counts);
+    Ok((profiler.finish(&program, ran.cycles), sharers))
+}
+
+/// Maps `program` onto `structure`: MDA for [`StructureKind::Ftspm`]
+/// (sharer-weighted when per-block sharer counts are known), the
+/// baseline mapper otherwise.
+pub(crate) fn map(
+    program: &Program,
+    profile: &Profile,
+    structure: &SpmStructure,
+    kind: StructureKind,
+    optimize: OptimizeFor,
+    sharers: Option<&[u32]>,
+) -> MdaOutput {
+    let thresholds = optimize.thresholds();
+    match (kind, sharers) {
+        (StructureKind::Ftspm, Some(sharers)) => {
+            run_mda_multicore(program, profile, structure, &thresholds, sharers)
+        }
+        (StructureKind::Ftspm, None) => run_mda(program, profile, structure, &thresholds),
+        _ => run_baseline(program, profile, structure),
+    }
+}
+
+/// Runs `job` on `structure` under `mapping`, with live fault injection
+/// when `faults` is set, and collects its metrics. `profile` must be the
+/// profiling-pass output for the same workload (it feeds the analytic
+/// vulnerability model).
+///
+/// # Errors
+///
+/// [`RunError::DeadlineExceeded`] when the budget runs out.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_inner(
-    workload: &mut dyn Workload,
+pub(crate) fn run(
+    job: &mut Job<'_>,
     structure: &SpmStructure,
     kind: StructureKind,
     mapping: MdaOutput,
@@ -452,58 +534,13 @@ pub(crate) fn try_run_inner(
     faults: Option<&LiveFaultOptions>,
     deadline_cycles: Option<u64>,
     observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    let program = workload.program().clone();
+) -> Result<MultiRunMetrics, RunError> {
     let placement = mapping
-        .placement(&program, structure)
+        .placement(job.program(), structure)
         .expect("MDA placements fit by construction");
-    let mut config = MachineConfig::with_regions(structure.specs());
-    if let Some(opts) = faults {
-        config = config.with_faults(opts.config(structure));
-    }
-    config.deadline_cycles = deadline_cycles;
-    let mut machine = Machine::new(config, program, placement).expect("structure machine");
-    workload.init(machine.dram_mut());
-    let checksum = {
-        let mut cpu = Cpu::new(&mut machine, observer);
-        match workload.run(&mut cpu) {
-            Ok(checksum) => checksum,
-            Err(SimError::DeadlineExceeded {
-                cycle,
-                deadline_cycles,
-            }) => {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_cycles,
-                    cycle,
-                })
-            }
-            Err(e) => panic!("mapped run failed: {e}"),
-        }
-    };
-    let stats = machine.finish(observer);
-    Ok(collect_run_metrics(
-        kind,
-        workload.name(),
-        checksum == workload.expected_checksum(),
-        &stats,
-        profile,
-        mapping,
-        structure,
-    ))
-}
-
-/// Folds a finished machine's statistics into [`RunMetrics`] — shared by
-/// the single-core and multi-core run paths so their artifacts are
-/// field-for-field comparable.
-fn collect_run_metrics(
-    kind: StructureKind,
-    workload_name: &str,
-    checksum_ok: bool,
-    stats: &ftspm_sim::MachineStats,
-    profile: &Profile,
-    mapping: MdaOutput,
-    structure: &SpmStructure,
-) -> RunMetrics {
+    let config = machine_config(structure, faults, deadline_cycles);
+    let ran = execute(job, config, placement, observer, "mapped run")?;
+    let stats = &ran.stats;
     let vuln = reliability::vulnerability(profile, &mapping, structure, MbuDistribution::default());
     let spm_energy = stats.spm_energy();
     let stt_regions = || {
@@ -513,17 +550,9 @@ fn collect_run_metrics(
             .zip(structure.regions())
             .filter(|(_, (_, spec))| spec.technology() == Technology::SttRam)
     };
-    let stt_max_line_writes = stt_regions()
-        .map(|(r, _)| r.max_line_writes)
-        .max()
-        .unwrap_or(0);
-    let stt_total_writes = stt_regions().map(|(r, _)| r.total_writes).sum();
-    let stt_lines = stt_regions()
-        .map(|(_, (_, spec))| spec.geometry().words())
-        .sum();
-    RunMetrics {
+    let base = RunMetrics {
         structure: kind,
-        workload: workload_name.to_string(),
+        workload: job.name().to_string(),
         cycles: stats.cycles,
         instructions: stats.instructions,
         spm_dynamic_pj: spm_energy.dynamic_pj(),
@@ -531,9 +560,14 @@ fn collect_run_metrics(
         spm_leakage_mw: stats.spm_leakage_mw(),
         vulnerability: vuln.vulnerability(),
         reliability: vuln.reliability(),
-        stt_max_line_writes,
-        stt_total_writes,
-        stt_lines,
+        stt_max_line_writes: stt_regions()
+            .map(|(r, _)| r.max_line_writes)
+            .max()
+            .unwrap_or(0),
+        stt_total_writes: stt_regions().map(|(r, _)| r.total_writes).sum(),
+        stt_lines: stt_regions()
+            .map(|(_, (_, spec))| spec.geometry().words())
+            .sum(),
         traffic: stats
             .regions
             .iter()
@@ -543,176 +577,18 @@ fn collect_run_metrics(
                 writes: r.program_writes,
             })
             .collect(),
-        checksum_ok,
+        checksum_ok: ran.checksum == job.expected_checksum(),
         recovery: stats.faults,
         mapping,
         vulnerability_report: vuln,
-    }
-}
-
-/// Per-block sharer counts (how many cores touched each block) from a
-/// finished multi-core machine, in block-id order.
-fn sharer_counts(mm: &MultiMachine, program: &Program) -> Vec<u32> {
-    program
-        .iter()
-        .map(|(id, _)| mm.machine().sharer_mask(id).count_ones())
-        .collect()
-}
-
-/// The profiling pass for an N-core workload: the same ideal
-/// placement-neutral structure as [`profile_workload`], executed in
-/// deterministic lockstep on a [`MultiMachine`]. Returns the profile
-/// plus per-block sharer counts — the extra dimension
-/// [`ftspm_core::mda::run_mda_multicore`] weights by.
-///
-/// # Errors
-///
-/// [`RunError::DeadlineExceeded`] when the budget runs out mid-profile.
-///
-/// # Panics
-///
-/// Panics on any other simulator error — workloads are trusted fixtures.
-pub fn try_profile_multi_workload(
-    workload: &mut dyn MultiWorkload,
-    deadline_cycles: Option<u64>,
-) -> Result<(Profile, Vec<u32>), RunError> {
-    let program = workload.program().clone();
-    let structure = profiling_structure();
-    let placement = map_everything(&program, &structure);
-    let mut config = MachineConfig::with_regions(structure.specs());
-    config.deadline_cycles = deadline_cycles;
-    let mut mm = MultiMachine::new(config, program.clone(), placement, workload.cores())
-        .expect("profiling machine");
-    workload.init(mm.machine_mut().dram_mut());
-    let mut profiler = Profiler::new(&program);
-    match run_lockstep(&mut mm, workload, &mut profiler) {
-        Ok(_) => {}
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("multi-core profiling run failed: {e}"),
-    }
-    let cycles = mm.machine().cycle();
-    let sharers = sharer_counts(&mm, &program);
-    mm.finish(&mut profiler);
-    Ok((profiler.finish(&program, cycles), sharers))
-}
-
-/// Runs an N-core workload on `structure` under `mapping` in
-/// deterministic lockstep and collects [`MultiRunMetrics`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_multi_inner(
-    workload: &mut dyn MultiWorkload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<MultiRunMetrics, RunError> {
-    let program = workload.program().clone();
-    let placement = mapping
-        .placement(&program, structure)
-        .expect("MDA placements fit by construction");
-    let mut config = MachineConfig::with_regions(structure.specs());
-    if let Some(opts) = faults {
-        config = config.with_faults(opts.config(structure));
-    }
-    config.deadline_cycles = deadline_cycles;
-    let mut mm = MultiMachine::new(config, program.clone(), placement, workload.cores())
-        .expect("structure machine");
-    workload.init(mm.machine_mut().dram_mut());
-    let checksum = match run_lockstep(&mut mm, workload, observer) {
-        Ok(checksum) => checksum,
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("mapped multi-core run failed: {e}"),
     };
-    let sharers = sharer_counts(&mm, &program);
-    let stats = mm.finish(observer);
-    let coherence = mm.coherence_stats();
-    let per_core = mm.core_fault_views().to_vec();
-    let cores = workload.cores();
-    let base = collect_run_metrics(
-        kind,
-        workload.name(),
-        checksum == workload.expected_checksum(),
-        &stats,
-        profile,
-        mapping,
-        structure,
-    );
     Ok(MultiRunMetrics {
         base,
-        cores,
-        coherence,
-        per_core,
-        sharer_counts: sharers,
+        cores: job.cores(),
+        coherence: ran.coherence,
+        per_core: ran.per_core,
+        sharer_counts: ran.sharer_counts,
     })
-}
-
-/// [`try_run_inner`] routed through a 1-core [`MultiMachine`]: the
-/// differential oracle proving the multi-core machinery is inert at one
-/// core — same workload, same mapping, byte-identical artifacts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_single_via_multi(
-    workload: &mut dyn Workload,
-    structure: &SpmStructure,
-    kind: StructureKind,
-    mapping: MdaOutput,
-    profile: &Profile,
-    faults: Option<&LiveFaultOptions>,
-    deadline_cycles: Option<u64>,
-    observer: &mut dyn Observer,
-) -> Result<RunMetrics, RunError> {
-    let program = workload.program().clone();
-    let placement = mapping
-        .placement(&program, structure)
-        .expect("MDA placements fit by construction");
-    let mut config = MachineConfig::with_regions(structure.specs());
-    if let Some(opts) = faults {
-        config = config.with_faults(opts.config(structure));
-    }
-    config.deadline_cycles = deadline_cycles;
-    let mut mm = MultiMachine::new(config, program, placement, 1).expect("structure machine");
-    workload.init(mm.machine_mut().dram_mut());
-    let checksum = match mm.with_core(0, observer, |cpu| workload.run(cpu)) {
-        Ok(checksum) => checksum,
-        Err(SimError::DeadlineExceeded {
-            cycle,
-            deadline_cycles,
-        }) => {
-            return Err(RunError::DeadlineExceeded {
-                deadline_cycles,
-                cycle,
-            })
-        }
-        Err(e) => panic!("mapped run failed: {e}"),
-    };
-    let stats = mm.finish(observer);
-    Ok(collect_run_metrics(
-        kind,
-        workload.name(),
-        checksum == workload.expected_checksum(),
-        &stats,
-        profile,
-        mapping,
-        structure,
-    ))
 }
 
 /// Profiles `workload`, maps it with MDA under `optimize`, and measures
@@ -729,44 +605,29 @@ pub(crate) fn evaluate_workload_observed(
     observer: &mut dyn Observer,
 ) -> WorkloadEvaluation {
     let profile = profile_workload(workload);
-    let program = workload.program().clone();
-
-    let ftspm_structure = SpmStructure::ftspm();
-    let ftspm_mapping = run_mda(&program, &profile, &ftspm_structure, &optimize.thresholds());
-    let ftspm = run_inner(
-        workload,
-        &ftspm_structure,
-        StructureKind::Ftspm,
-        ftspm_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
-    let sram_structure = SpmStructure::pure_sram();
-    let sram_mapping = run_baseline(&program, &profile, &sram_structure);
-    let pure_sram = run_inner(
-        workload,
-        &sram_structure,
-        StructureKind::PureSram,
-        sram_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
-    let stt_structure = SpmStructure::pure_stt();
-    let stt_mapping = run_baseline(&program, &profile, &stt_structure);
-    let pure_stt = run_inner(
-        workload,
-        &stt_structure,
-        StructureKind::PureStt,
-        stt_mapping,
-        &profile,
-        None,
-        observer,
-    );
-
+    let [ftspm, pure_sram, pure_stt] = StructureKind::ALL.map(|kind| {
+        let structure = kind.structure();
+        let mapping = map(
+            workload.program(),
+            &profile,
+            &structure,
+            kind,
+            optimize,
+            None,
+        );
+        run(
+            &mut Job::Plain(workload),
+            &structure,
+            kind,
+            mapping,
+            &profile,
+            None,
+            None,
+            observer,
+        )
+        .expect("run without a deadline cannot be cancelled")
+        .base
+    });
     WorkloadEvaluation {
         workload: workload.name().to_string(),
         profile,
@@ -774,37 +635,4 @@ pub(crate) fn evaluate_workload_observed(
         pure_sram,
         pure_stt,
     }
-}
-
-/// Evaluates a whole workload set, one workload per executor task
-/// (`ftspm_testkit::par`, honoring the `FTSPM_THREADS` knob).
-///
-/// Each workload's evaluation is an independent deterministic
-/// simulation and results return in input order, so the suite output is
-/// identical at every thread count, including 1.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder::new().run_suite(workloads, optimize)"
-)]
-pub fn evaluate_suite(
-    workloads: Vec<Box<dyn Workload>>,
-    optimize: OptimizeFor,
-) -> Vec<WorkloadEvaluation> {
-    crate::RunBuilder::new().run_suite(workloads, optimize)
-}
-
-/// [`evaluate_suite`] with an explicit thread count — the entry point
-/// the determinism tests use to compare sequential and parallel runs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunBuilder::new().threads(n).run_suite(workloads, optimize)"
-)]
-pub fn evaluate_suite_threads(
-    workloads: Vec<Box<dyn Workload>>,
-    optimize: OptimizeFor,
-    threads: std::num::NonZeroUsize,
-) -> Vec<WorkloadEvaluation> {
-    crate::RunBuilder::new()
-        .threads(threads)
-        .run_suite(workloads, optimize)
 }

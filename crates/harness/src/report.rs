@@ -95,18 +95,17 @@ pub fn table4() -> String {
         "{:<22} {:<22} {:>8} {:>10} {:>10}",
         "Structure", "Region", "Size", "Read", "Write"
     );
-    let structures = [
-        ("pure SRAM", ftspm_core::SpmStructure::pure_sram()),
-        ("pure STT-RAM", ftspm_core::SpmStructure::pure_stt()),
-        ("FTSPM", ftspm_core::SpmStructure::ftspm()),
-    ];
-    for (name, st) in structures {
-        for (_, spec) in st.regions() {
+    for kind in [
+        StructureKind::PureSram,
+        StructureKind::PureStt,
+        StructureKind::Ftspm,
+    ] {
+        for (_, spec) in kind.structure().regions() {
             let p = spec.params();
             let _ = writeln!(
                 s,
                 "{:<22} {:<22} {:>6}KB {:>8} c {:>8} c",
-                name,
+                kind.name(),
                 spec.name(),
                 spec.geometry().bytes() / 1024,
                 p.read_latency,

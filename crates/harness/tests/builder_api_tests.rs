@@ -1,62 +1,118 @@
-//! The `RunBuilder` API contract: the deprecated free functions are
-//! thin wrappers that produce identical results, and
+//! The `RunBuilder` API contract: `run_suite` honours the builder's
+//! optimisation target, a cycle budget cuts the profiling pass or the
+//! mapped run deterministically on every run path, and
 //! `LiveFaultOptionsBuilder::build` rejects each structurally invalid
 //! field with the right typed error.
 
-use ftspm_core::mda::run_mda;
-use ftspm_core::{OptimizeFor, SpmStructure};
+use ftspm_core::OptimizeFor;
 use ftspm_harness::{
-    profile_workload, FaultOptionsError, LiveFaultOptions, RunBuilder, StructureKind,
+    evaluate_workload, report, FaultOptionsError, LiveFaultOptions, RunBuilder, RunError,
 };
-use ftspm_workloads::{CaseStudy, Workload};
+use ftspm_obs::Recorder;
+use ftspm_workloads::multicore::MultiWorkload;
+use ftspm_workloads::{find_multicore, CaseStudy, Workload};
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_on_structure_matches_run_builder() {
-    let structure = SpmStructure::ftspm();
-    let profile = profile_workload(&mut CaseStudy::new());
-    let mapping = run_mda(
-        &CaseStudy::new().program().clone(),
-        &profile,
-        &structure,
-        &OptimizeFor::Reliability.thresholds(),
+fn run_suite_honours_the_builder_optimize_target() {
+    let case = || -> Vec<Box<dyn Workload>> { vec![Box::new(CaseStudy::new())] };
+    let suite = RunBuilder::new()
+        .optimize(OptimizeFor::Performance)
+        .run_suite(case());
+    let direct = evaluate_workload(&mut CaseStudy::new(), OptimizeFor::Performance);
+    assert_eq!(report::suite_csv(&suite), report::suite_csv(&[direct]));
+    let reliability = RunBuilder::new().run_suite(case());
+    assert_ne!(
+        report::suite_csv(&suite),
+        report::suite_csv(&reliability),
+        "the two targets must map the case study differently for this test to bite"
     );
+}
 
-    let mut w = CaseStudy::new();
-    let old = ftspm_harness::run_on_structure(
-        &mut w,
-        &structure,
-        StructureKind::Ftspm,
-        mapping.clone(),
-        &profile,
-    );
+/// The three run paths a cycle budget can cut.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// A single-core kernel on the plain machine.
+    Plain,
+    /// The same kernel through the `.cores(1)` oracle.
+    Oracle,
+    /// A 2-core kernel in lockstep.
+    TwoCore,
+}
 
-    let mut w = CaseStudy::new();
-    let new = RunBuilder::new()
-        .workload(&mut w)
-        .structure(&structure, StructureKind::Ftspm)
-        .mapping(mapping)
-        .profile(&profile)
-        .run();
+/// Runs `path` under an optional budget into `rec`, returning the run's
+/// cycles and its `{:?}`-rendered metrics.
+fn run_path(
+    path: Path,
+    deadline: Option<u64>,
+    rec: &mut Recorder,
+) -> Result<(u64, String), RunError> {
+    let mut case = CaseStudy::new();
+    let mut multi: Box<dyn MultiWorkload>;
+    let mut b = match path {
+        Path::Plain => RunBuilder::new().workload(&mut case),
+        Path::Oracle => RunBuilder::new().workload(&mut case).cores(1),
+        Path::TwoCore => {
+            multi = find_multicore("producer_consumer")
+                .expect("registered")
+                .build(2, None);
+            RunBuilder::new().workload_multi(multi.as_mut())
+        }
+    };
+    if let Some(budget) = deadline {
+        b = b.deadline_cycles(budget);
+    }
+    let b = b.recorder(rec);
+    match path {
+        Path::TwoCore => b.try_run_multi().map(|m| (m.base.cycles, format!("{m:?}"))),
+        Path::Plain | Path::Oracle => b.try_run().map(|m| (m.cycles, format!("{m:?}"))),
+    }
+}
 
-    assert_eq!(old.cycles, new.cycles);
-    assert_eq!(old.instructions, new.instructions);
-    assert_eq!(old.spm_dynamic_pj.to_bits(), new.spm_dynamic_pj.to_bits());
-    assert_eq!(old.vulnerability.to_bits(), new.vulnerability.to_bits());
-    assert!(old.checksum_ok && new.checksum_ok);
+fn phase_names(rec: &Recorder) -> Vec<&'static str> {
+    rec.trace().phases().iter().map(|p| p.name).collect()
+}
+
+fn cut_at(err: RunError, budget: u64) -> bool {
+    matches!(err, RunError::DeadlineExceeded { deadline_cycles, .. } if deadline_cycles == budget)
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_evaluate_suite_matches_run_builder() {
-    let old =
-        ftspm_harness::evaluate_suite(vec![Box::new(CaseStudy::new())], OptimizeFor::Reliability);
-    let new =
-        RunBuilder::new().run_suite(vec![Box::new(CaseStudy::new())], OptimizeFor::Reliability);
-    assert_eq!(
-        ftspm_harness::report::suite_csv(&old),
-        ftspm_harness::report::suite_csv(&new)
-    );
+fn deadline_cuts_land_in_the_pass_the_budget_runs_out_in() {
+    for path in [Path::Plain, Path::Oracle, Path::TwoCore] {
+        let mut rec = Recorder::recovery_only(64);
+        let (run_cycles, unbounded) = run_path(path, None, &mut rec).expect("no budget");
+        let span = rec.trace().phases()[0];
+        assert_eq!(span.name, "profile");
+        let profile_cycles = span.end - span.start;
+        assert!(profile_cycles < run_cycles, "{path:?}");
+
+        // Below the profile's cycles: the profiling pass is cut, before
+        // any phase is recorded.
+        let budget = profile_cycles / 2;
+        let mut rec = Recorder::recovery_only(64);
+        let err = run_path(path, Some(budget), &mut rec).unwrap_err();
+        assert!(cut_at(err, budget), "{path:?}: {err:?}");
+        assert!(phase_names(&rec).is_empty(), "{path:?}");
+
+        // Between the profile's and the run's cycles: profiling
+        // completes and the mapped run is cut, at the same cycle on a
+        // repeat run.
+        let budget = (profile_cycles + run_cycles) / 2;
+        let mut rec = Recorder::recovery_only(64);
+        let err = run_path(path, Some(budget), &mut rec).unwrap_err();
+        assert!(cut_at(err, budget), "{path:?}: {err:?}");
+        assert_eq!(phase_names(&rec), ["profile", "mda"], "{path:?}");
+        let again = run_path(path, Some(budget), &mut Recorder::recovery_only(64)).unwrap_err();
+        assert_eq!(err, again, "{path:?}");
+
+        // At or above the run's cycles: the budget is inert.
+        for budget in [run_cycles, 2 * run_cycles] {
+            let mut rec = Recorder::recovery_only(64);
+            let (_, bounded) =
+                run_path(path, Some(budget), &mut rec).expect("budget covers the run");
+            assert_eq!(bounded, unbounded, "{path:?} budget {budget}");
+        }
+    }
 }
 
 #[test]

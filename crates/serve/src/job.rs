@@ -40,7 +40,7 @@
 
 use std::fmt;
 
-use ftspm_core::{OptimizeFor, RegionRole, SpmStructure};
+use ftspm_core::{OptimizeFor, RegionRole};
 use ftspm_ecc::MbuDistribution;
 use ftspm_harness::{
     FaultOptionsError, LiveFaultOptions, MultiRunMetrics, RunBuilder, RunError, RunMetrics,
@@ -693,18 +693,9 @@ impl JobSpec {
             !self.chaos_panic,
             "chaos_panic: injected worker panic (test hook)"
         );
-        if let Some(cores) = self.cores {
-            return self.run_multi(cores);
-        }
-        let workload = self.workload.build(traces)?;
-        let structure = match self.structure {
-            StructureKind::Ftspm => SpmStructure::ftspm(),
-            StructureKind::PureSram => SpmStructure::pure_sram(),
-            StructureKind::PureStt => SpmStructure::pure_stt(),
-        };
+        let mut recorder = self.metrics.then(|| Recorder::recovery_only(256));
         let mut builder = RunBuilder::new()
-            .workload_boxed(workload)
-            .structure(&structure, self.structure)
+            .structure(&self.structure.structure(), self.structure)
             .optimize(self.optimize);
         if let Some(faults) = &self.faults {
             builder = builder.faults(faults.clone());
@@ -712,63 +703,47 @@ impl JobSpec {
         if let Some(deadline) = self.deadline_cycles {
             builder = builder.deadline_cycles(deadline);
         }
-        if self.metrics {
-            let mut recorder = Recorder::recovery_only(256);
-            let metrics = builder.recorder(&mut recorder).try_run()?;
-            let (registry, _trace) = recorder.into_parts();
-            Ok(JobOutput {
-                body: render_report(&metrics, Some(&registry.to_csv())),
-                registry: Some(registry),
-            })
-        } else {
-            let metrics = builder.try_run()?;
-            Ok(JobOutput {
-                body: render_report(&metrics, None),
-                registry: None,
-            })
+        if let Some(recorder) = recorder.as_mut() {
+            builder = builder.recorder(recorder);
+        }
+        match self.cores {
+            // `cores >= 2`: the multicore kernel at the job's core count
+            // in lockstep; same report, plus a `multicore` section.
+            Some(cores) => {
+                let WorkloadSource::Named { name, seed } = &self.workload else {
+                    unreachable!("multi-core workloads are named (validated at decode)");
+                };
+                let entry = find_multicore(name).expect("validated at decode");
+                let metrics = builder
+                    .workload_multi_boxed(entry.build(cores, *seed))
+                    .cores(cores)
+                    .try_run_multi()?;
+                Ok(job_output(&metrics, recorder, render_multi_report))
+            }
+            None => {
+                let metrics = builder
+                    .workload_boxed(self.workload.build(traces)?)
+                    .try_run()?;
+                Ok(job_output(&metrics, recorder, render_report))
+            }
         }
     }
+}
 
-    /// The `cores >= 2` run path: builds the multicore kernel at the
-    /// job's core count and drives the lockstep pipeline. Same report
-    /// contract, plus a `multicore` section.
-    fn run_multi(&self, cores: usize) -> Result<JobOutput, JobRunError> {
-        let WorkloadSource::Named { name, seed } = &self.workload else {
-            unreachable!("multi-core workloads are named (validated at decode)");
-        };
-        let entry = find_multicore(name).expect("validated at decode");
-        let mut workload = entry.build(cores, *seed);
-        let structure = match self.structure {
-            StructureKind::Ftspm => SpmStructure::ftspm(),
-            StructureKind::PureSram => SpmStructure::pure_sram(),
-            StructureKind::PureStt => SpmStructure::pure_stt(),
-        };
-        let mut builder = RunBuilder::new()
-            .workload_multi(workload.as_mut())
-            .cores(cores)
-            .structure(&structure, self.structure)
-            .optimize(self.optimize);
-        if let Some(faults) = &self.faults {
-            builder = builder.faults(faults.clone());
-        }
-        if let Some(deadline) = self.deadline_cycles {
-            builder = builder.deadline_cycles(deadline);
-        }
-        if self.metrics {
-            let mut recorder = Recorder::recovery_only(256);
-            let metrics = builder.recorder(&mut recorder).try_run_multi()?;
-            let (registry, _trace) = recorder.into_parts();
-            Ok(JobOutput {
-                body: render_multi_report(&metrics, Some(&registry.to_csv())),
-                registry: Some(registry),
-            })
-        } else {
-            let metrics = builder.try_run_multi()?;
-            Ok(JobOutput {
-                body: render_multi_report(&metrics, None),
-                registry: None,
-            })
-        }
+/// Renders a finished run, with the recorder's registry when the spec
+/// asked for metrics.
+fn job_output<M>(
+    metrics: &M,
+    recorder: Option<Recorder>,
+    render: fn(&M, Option<&str>) -> String,
+) -> JobOutput {
+    let registry = recorder.map(|r| r.into_parts().0);
+    JobOutput {
+        body: render(
+            metrics,
+            registry.as_ref().map(MetricsRegistry::to_csv).as_deref(),
+        ),
+        registry,
     }
 }
 

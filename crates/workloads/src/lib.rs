@@ -92,62 +92,3 @@ pub trait Workload: Send {
     /// host at construction time.
     fn expected_checksum(&self) -> u64;
 }
-
-/// The full MiBench-substitute suite at its default scales (excludes the
-/// case study; see [`CaseStudy`]).
-#[deprecated(note = "walk `registry()` and build entries with `in_suite()` instead")]
-pub fn mibench_suite() -> Vec<Box<dyn Workload>> {
-    registry()
-        .iter()
-        .filter(|e| e.in_suite())
-        .map(|e| e.build(None))
-        .collect()
-}
-
-/// The whole evaluation workload set: the case study plus the suite.
-#[deprecated(note = "use `registry::evaluation_set()` (or walk `registry()` directly)")]
-pub fn all_workloads() -> Vec<Box<dyn Workload>> {
-    evaluation_set()
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod registry_tests {
-    use super::*;
-
-    #[test]
-    fn suite_has_thirteen_distinct_kernels() {
-        let suite = mibench_suite();
-        assert_eq!(suite.len(), 13);
-        let mut names: Vec<String> = suite.iter().map(|w| w.name().to_string()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 13);
-    }
-
-    #[test]
-    fn all_workloads_adds_the_case_study() {
-        let all = all_workloads();
-        assert_eq!(all.len(), 14);
-        assert_eq!(all[0].name(), "case_study");
-    }
-
-    #[test]
-    fn every_program_declares_a_stack() {
-        for w in all_workloads() {
-            assert!(
-                w.program().stack_block().is_some(),
-                "{} lacks a stack block",
-                w.name()
-            );
-        }
-    }
-
-    #[test]
-    fn every_program_has_code_and_data() {
-        for w in all_workloads() {
-            assert!(!w.program().code_blocks().is_empty(), "{}", w.name());
-            assert!(w.program().data_blocks().len() >= 2, "{}", w.name());
-        }
-    }
-}

@@ -1,15 +1,10 @@
 //! The kernel registry: every named workload, keyed by its stable wire
 //! name.
 //!
-//! Before this module existed the suite was spread across three ad-hoc
-//! constructors — `mibench_suite()`, `all_workloads()`, and the serve
-//! crate's private name table — each hard-coding the same names and
-//! default seeds. The registry is now the single source of truth: one
-//! ordered table of [`KernelEntry`] values carrying the stable name,
-//! the default seed (the exact seeds the old constructors used), suite
-//! membership, and a monomorphic build function. The old free functions
-//! survive as `#[deprecated]` wrappers that delegate here, pinned by a
-//! delegation test.
+//! One ordered table of [`KernelEntry`] values carries each kernel's
+//! stable name, default seed, suite membership, and a monomorphic build
+//! function; the evaluation sweeps and the serve crate's name table all
+//! read it.
 
 use crate::Workload;
 
@@ -88,7 +83,7 @@ macro_rules! entry {
 
 /// The registry table, in canonical order: the case study first, then
 /// the suite in its historical order, then the extras. The order is
-/// stable — `all_workloads()` and the evaluation sweeps depend on it.
+/// stable — [`evaluation_set`] and the evaluation sweeps depend on it.
 const REGISTRY: &[KernelEntry] = &[
     entry!("case_study", seedless, false, crate::CaseStudy),
     entry!("qsort", 0xF75F, true, crate::QSort),
@@ -127,8 +122,7 @@ pub fn kernel_names() -> Vec<&'static str> {
 }
 
 /// Builds the paper's evaluation set at default seeds: the case study
-/// followed by the 13-kernel suite (what `all_workloads()` used to
-/// hard-code).
+/// followed by the 13-kernel suite.
 #[must_use]
 pub fn evaluation_set() -> Vec<Box<dyn Workload>> {
     REGISTRY
@@ -152,6 +146,9 @@ mod tests {
         assert_eq!(REGISTRY.iter().filter(|e| e.in_suite()).count(), 13);
         assert!(find("case_study").expect("registered").seedless());
         assert!(find("no_such_kernel").is_none());
+        let set = evaluation_set();
+        assert_eq!(set.len(), 14);
+        assert_eq!(set[0].name(), "case_study");
     }
 
     #[test]
@@ -175,22 +172,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_registry() {
-        let suite = crate::mibench_suite();
-        let from_registry: Vec<_> = registry().iter().filter(|e| e.in_suite()).collect();
-        assert_eq!(suite.len(), from_registry.len());
-        for (w, e) in suite.iter().zip(&from_registry) {
-            assert_eq!(w.name(), e.name());
-            assert_eq!(
-                w.expected_checksum(),
-                e.build(None).expected_checksum(),
-                "wrapper and registry disagree on {}",
-                e.name()
+    fn every_program_declares_a_stack() {
+        for w in evaluation_set() {
+            assert!(
+                w.program().stack_block().is_some(),
+                "{} lacks a stack block",
+                w.name()
             );
         }
-        let all = crate::all_workloads();
-        assert_eq!(all.len(), suite.len() + 1);
-        assert_eq!(all[0].name(), "case_study");
+    }
+
+    #[test]
+    fn every_program_has_code_and_data() {
+        for w in evaluation_set() {
+            assert!(!w.program().code_blocks().is_empty(), "{}", w.name());
+            assert!(w.program().data_blocks().len() >= 2, "{}", w.name());
+        }
     }
 }

@@ -85,17 +85,6 @@ impl Synthetic {
         }
     }
 
-    /// A convenience constructor for the write-fraction crossover sweep.
-    #[deprecated(
-        note = "use `Synthetic::new(SyntheticConfig { write_fraction, ..Default::default() })`"
-    )]
-    pub fn with_write_fraction(write_fraction: f64) -> Self {
-        Self::new(SyntheticConfig {
-            write_fraction,
-            ..SyntheticConfig::default()
-        })
-    }
-
     /// The configuration.
     pub fn config(&self) -> SyntheticConfig {
         self.config

@@ -5,13 +5,12 @@
 //! cargo run --release --example mibench_sweep
 //! ```
 
-use ftspm::core::OptimizeFor;
 use ftspm::harness::{report, RunBuilder};
 use ftspm::mem::Clock;
 use ftspm::workloads::evaluation_set;
 
 fn main() {
-    let evals = RunBuilder::new().run_suite(evaluation_set(), OptimizeFor::Reliability);
+    let evals = RunBuilder::new().run_suite(evaluation_set());
     println!("{}", report::summary(&evals));
     for e in &evals {
         println!("{}", report::fig_traffic(&e.ftspm));
