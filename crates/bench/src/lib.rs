@@ -1,14 +1,12 @@
-//! # ftspm-bench — benchmark harness
-//!
-//! Two faces:
+//! # ftspm-bench — the reproduction driver
 //!
 //! * the **`repro` binary** (`cargo run --release -p ftspm-bench --bin
 //!   repro -- all`) regenerates every table and figure of the paper's
 //!   evaluation from live simulation, printing human-readable tables and
 //!   writing CSV into `results/`;
-//! * the **Criterion benches** (`cargo bench -p ftspm-bench`) measure
-//!   the reproduction's own moving parts: the MDA mapper, the SEC-DED
-//!   codec, raw simulator throughput, and the end-to-end pipeline.
+//! * [`sweeps`] holds the fault and scrub sweeps `repro` renders, shared
+//!   with the benchmark (`perfbench/`), whose traced run
+//!   (`--trace 1`) is the repository's one host-time ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

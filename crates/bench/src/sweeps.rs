@@ -1,6 +1,6 @@
 //! The repro binary's parameter sweeps, factored out so the `repro`
-//! binary, the micro-benches, and the determinism tests drive the exact
-//! same code path.
+//! binary, the benchmark's `fault_storm` workload, and the determinism
+//! tests drive the exact same code path.
 //!
 //! The recovery sweep (strike rate × scrub interval on the case study)
 //! runs one cell per executor task (`ftspm_testkit::par`): each cell

@@ -67,7 +67,7 @@ impl<T: ?Sized> Slot<'_, T> {
 /// path additionally records `profile → mda → run → report` phase spans
 /// and folds the run's final `FaultStats` into `faults.*` counters.
 /// With neither attached the run uses [`NullObserver`] — the
-/// near-zero-cost disabled path the `injected_run` bench pins.
+/// near-zero-cost disabled path the `armed_idle_guard` test pins.
 pub struct RunBuilder<'a> {
     workload: Slot<'a, dyn Workload>,
     workload_multi: Slot<'a, dyn MultiWorkload>,

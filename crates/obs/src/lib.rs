@@ -16,7 +16,7 @@
 //! When observability is off, the harness passes
 //! [`ftspm_sim::NullObserver`] instead: it opts out of access events
 //! (`Observer::observes_accesses`), so the simulator's hot loop builds
-//! none — the `injected_run` bench pins this under its regression
+//! none — the `armed_idle_guard` test pins this under its regression
 //! budget.
 //!
 //! Everything here is a pure function of the simulated event stream —

@@ -4,7 +4,8 @@
 //! byte-identical to running the same trace-backed spec in-process
 //! through [`JobSpec::run_with`]. The fit path gets the same
 //! treatment, plus the failure surface: unknown ids answer a typed
-//! 422, damaged uploads a typed 400, and re-uploads dedupe.
+//! 422, damaged uploads a typed 400, re-uploads dedupe, and a full
+//! trace table evicts its oldest upload.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use ftspm_serve::{JobSpec, ServeConfig, Server, TraceId, TraceTable};
 use ftspm_testkit::{ephemeral_listener, http_request, par};
 use ftspm_trace::record;
-use ftspm_workloads::registry;
+use ftspm_workloads::{registry, Synthetic, SyntheticConfig};
 
 fn serve_at(workers: usize) -> Server {
     let (listener, _) = ephemeral_listener();
@@ -163,4 +164,78 @@ fn unknown_trace_ids_answer_422_and_are_never_cached() {
     let csv = metrics.body_str();
     assert!(csv.contains("trace.unresolved,counter,,1"), "{csv}");
     assert!(csv.contains("serve.malformed.422,counter,,1"), "{csv}");
+}
+
+/// A short synthetic trace whose stamps end at `u64::MAX` — the
+/// decoder accepts it, and fitting it must not overflow.
+fn max_stamped_trace() -> Vec<u8> {
+    let mut trace = record(&mut Synthetic::new(SyntheticConfig {
+        accesses: 16,
+        buffer_words: 32,
+        ..SyntheticConfig::default()
+    }))
+    .expect("records");
+    let shift = u64::MAX - trace.records.last().expect("ops recorded").cycle;
+    for rec in &mut trace.records {
+        rec.cycle += shift;
+    }
+    trace.encode()
+}
+
+#[test]
+fn a_full_trace_table_evicts_the_oldest_upload_and_reuploads_restore_it() {
+    let (listener, _) = ephemeral_listener();
+    let config = ServeConfig {
+        trace_capacity: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(listener, config).expect("boot");
+    let post =
+        |path: &str, body: &[u8]| http_request(server.addr(), "POST", path, body).expect(path);
+    let metrics = || {
+        let reply = http_request(server.addr(), "GET", "/metrics", b"").expect("metrics");
+        reply.body_str().to_string()
+    };
+    let (kernel, kernel_id) = recorded_kernel();
+    let stamped = max_stamped_trace();
+    let replay_spec = format!(r#"{{"workload": {{"trace": "{kernel_id}"}}}}"#);
+
+    assert_eq!(post("/v1/traces", &kernel).status, 200);
+    // The second upload fills the one slot and evicts the first.
+    let second = post("/v1/traces", &stamped);
+    assert_eq!(second.status, 200, "{}", second.body_str());
+    assert!(second.body_str().contains("\"state\":\"stored\""));
+    let csv = metrics();
+    assert!(csv.contains("trace.evicted,counter,,1"), "{csv}");
+
+    // The evicted id no longer resolves: a typed 422, counted.
+    let miss = post("/v1/run", replay_spec.as_bytes());
+    assert_eq!(miss.status, 422, "{}", miss.body_str());
+    assert!(miss.body_str().contains("\"kind\":\"unresolved_workload\""));
+    let csv = metrics();
+    assert!(csv.contains("trace.unresolved,counter,,1"), "{csv}");
+
+    // The resident trace's stamps end at u64::MAX; fitting it answers a
+    // report, not a panic.
+    let fit_spec = format!(r#"{{"workload": {{"fit": "{}"}}}}"#, TraceId::of(&stamped));
+    let fitted = post("/v1/run", fit_spec.as_bytes());
+    assert_eq!(fitted.status, 200, "{}", fitted.body_str());
+
+    // Re-uploading restores the same content-addressed id, and the
+    // replay answers byte-identical to the in-process run.
+    let again = post("/v1/traces", &kernel);
+    assert_eq!(again.status, 200, "{}", again.body_str());
+    assert!(again.body_str().contains(&kernel_id.to_string()));
+    assert!(again.body_str().contains("\"state\":\"stored\""));
+    let mut table = TraceTable::new(1);
+    let (trace, _tail) = ftspm_trace::Trace::decode(&kernel).expect("own encoding decodes");
+    table.insert(kernel_id, Arc::new(trace));
+    let expected = JobSpec::parse(replay_spec.as_bytes())
+        .expect("decodes")
+        .run_with(&table)
+        .expect("replays")
+        .body;
+    let hit = post("/v1/run", replay_spec.as_bytes());
+    assert_eq!(hit.status, 200, "{}", hit.body_str());
+    assert_eq!(hit.body_str(), expected);
 }

@@ -1,13 +1,13 @@
 //! In-test networking: ephemeral loopback ports and minimal HTTP/1.1
 //! clients.
 //!
-//! The serve tests, the CI smoke stage, and the `serve_throughput`
-//! bench all need the same things: a listener on an OS-assigned port
-//! (so parallel test processes never collide), a one-shot client that
-//! fires one request and reads one `connection: close` response
-//! ([`http_request`]), and a keep-alive client that holds one socket
-//! open across many requests — sequential or pipelined —
-//! ([`HttpClient`]). All std-only like the rest of the testkit.
+//! The serve tests and the CI smoke stage need the same things: a
+//! listener on an OS-assigned port (so parallel test processes never
+//! collide), a one-shot client that fires one request and reads one
+//! `connection: close` response ([`http_request`]), and a keep-alive
+//! client that holds one socket open across many requests — sequential
+//! or pipelined — ([`HttpClient`]). All std-only like the rest of the
+//! testkit.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};

@@ -2,8 +2,8 @@
 //! regenerate a synthetic workload from the model.
 //!
 //! [`fit`] makes a single pass over a trace's records and produces a
-//! [`TraceModel`]: per-block lifetimes and read/write mixes, the
-//! overall write fraction, phase segmentation (change-points in the
+//! [`TraceModel`]: per-block read/write mixes, the overall write
+//! fraction, phase segmentation (change-points in the
 //! access-density curve), a log2 inter-access gap histogram, and the
 //! mean sequential run length — plus a [`SyntheticConfig`] projection
 //! of the whole model onto the standard synthetic workload's dials.
@@ -16,8 +16,6 @@
 //! each phase with instruction padding proportional to the source
 //! phase's inverse access density (so re-fitting the regenerated
 //! workload finds the same phase structure).
-
-use std::sync::Arc;
 
 use ftspm_sim::{BlockId, BlockKind, Cpu, Dram, Program, SimError};
 use ftspm_workloads::{Checksum, SyntheticConfig, Workload};
@@ -47,10 +45,6 @@ pub struct BlockUse {
     pub reads: u64,
     /// Stores targeting the block.
     pub writes: u64,
-    /// Cycle of the block's first data access, if any.
-    pub first_use: Option<u64>,
-    /// Cycle of the block's last data access, if any.
-    pub last_use: Option<u64>,
 }
 
 /// One detected phase: a maximal cycle span of roughly constant access
@@ -143,11 +137,13 @@ pub fn fit(trace: &Trace) -> TraceModel {
             name: spec.name().to_string(),
             reads: 0,
             writes: 0,
-            first_use: None,
-            last_use: None,
         })
         .collect();
-    let end_cycle = trace.records.last().map_or(1, |r| r.cycle + 1);
+    // Decoded stamps reach `u64::MAX`: saturate rather than wrap to 0.
+    let end_cycle = trace
+        .records
+        .last()
+        .map_or(1, |r| r.cycle.saturating_add(1));
     let mut window_accesses = [0u64; WINDOWS];
     let mut window_writes = [0u64; WINDOWS];
     let mut gap_histogram = [0u64; 32];
@@ -161,8 +157,6 @@ pub fn fit(trace: &Trace) -> TraceModel {
         accesses += 1;
         writes += u64::from(is_write);
         let stats = &mut blocks[block.index()];
-        stats.first_use.get_or_insert(rec.cycle);
-        stats.last_use = Some(rec.cycle);
         if is_write {
             stats.writes += 1;
         } else {
@@ -283,7 +277,8 @@ fn segment_phases(
         }
         segments.remove(idx);
     }
-    let window_span = |i: usize| (end_cycle * i as u64) / WINDOWS as u64;
+    // In u128: `end_cycle * i` overflows u64 for stamps past `u64::MAX / 48`.
+    let window_span = |i: usize| ((u128::from(end_cycle) * i as u128) / WINDOWS as u128) as u64;
     let phase = |(s, e): (usize, usize)| PhaseModel {
         start_cycle: window_span(s),
         end_cycle: window_span(e),
@@ -446,13 +441,6 @@ impl FittedWorkload {
         fitted
     }
 
-    /// The phase pacing/mix this workload will regenerate (for the
-    /// `repro trace` diff display).
-    #[must_use]
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
     fn pick(&self, global_index: u64) -> (BlockId, u32, u32) {
         let h = splitmix(self.seed ^ global_index.wrapping_mul(0xD129_0F1E_DCBA_9871));
         let r = h % self.total_weight;
@@ -567,10 +555,4 @@ impl Workload for FittedWorkload {
     fn expected_checksum(&self) -> u64 {
         self.expected
     }
-}
-
-/// Builds a fitted workload behind an `Arc`'d trace (the serve path).
-#[must_use]
-pub fn fitted(trace: &Arc<Trace>) -> FittedWorkload {
-    FittedWorkload::new(trace)
 }

@@ -16,8 +16,8 @@
 //! - [`TraceWorkload`] replays a decoded trace as an ordinary workload:
 //!   the evaluation pipeline cannot tell replay from the original run,
 //!   and the rendered report is byte-identical.
-//! - [`fit`] extracts a compact behavioural model (per-block lifetimes,
-//!   R/W mix, phase structure, gap histogram), and [`FittedWorkload`]
+//! - [`fit`] extracts a compact behavioural model (per-block R/W mix,
+//!   phase structure, gap histogram), and [`FittedWorkload`]
 //!   regenerates a synthetic workload from it that preserves the
 //!   source's block count, write fraction, and phase structure.
 //! - [`WorkloadSource`] is the redesigned naming seam: jobs and tools
@@ -33,7 +33,7 @@ pub mod record;
 pub mod replay;
 pub mod source;
 
-pub use extract::{fit, fitted, BlockUse, FittedWorkload, PhaseModel, TraceModel};
+pub use extract::{fit, BlockUse, FittedWorkload, PhaseModel, TraceModel};
 pub use format::{
     BlockInit, Tail, Trace, TraceError, TraceId, TraceOp, TraceRecord, MAGIC, MAX_CODE_BYTES,
     MAX_DATA_BYTES, MAX_OPS, VERSION,

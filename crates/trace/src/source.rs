@@ -156,16 +156,6 @@ impl WorkloadSource {
         }
     }
 
-    /// The trace this source depends on, if any — what a job store must
-    /// pin before accepting the job.
-    #[must_use]
-    pub fn trace_dependency(&self) -> Option<TraceId> {
-        match self {
-            Self::Trace(id) | Self::Fitted(id) => Some(*id),
-            Self::Named { .. } | Self::Synthetic(_) => None,
-        }
-    }
-
     /// Renders the source's canonical fragment — the `w=...` prefix of
     /// a job's content address. Byte-compatible with the historical
     /// two-variant rendering for `Named` and `Synthetic`, so existing

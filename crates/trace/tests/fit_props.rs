@@ -5,7 +5,7 @@
 
 use ftspm_sim::{Cpu, Dram, Program, SimError};
 use ftspm_testkit::prop::{check, int_range, Config};
-use ftspm_trace::{fit, record, FittedWorkload};
+use ftspm_trace::{fit, record, FittedWorkload, Tail, Trace};
 use ftspm_workloads::{Synthetic, SyntheticConfig, Workload};
 
 fn cfg() -> Config {
@@ -159,4 +159,54 @@ fn model_summaries_are_sane() {
     let writes: u64 = model.blocks.iter().map(|b| b.writes).sum();
     assert_eq!(reads + writes, model.accesses);
     assert_eq!(writes, model.writes);
+}
+
+/// A short synthetic trace with every stamp shifted so the last record
+/// lands on `last_cycle`, round-tripped through the wire format — the
+/// shape of an upload whose cycle stamps sit near the top of `u64`.
+fn restamped(last_cycle: u64) -> Trace {
+    let mut trace = record(&mut Synthetic::new(SyntheticConfig {
+        accesses: 16,
+        buffer_words: 32,
+        ..SyntheticConfig::default()
+    }))
+    .expect("records");
+    let shift = last_cycle - trace.records.last().expect("ops recorded").cycle;
+    for rec in &mut trace.records {
+        rec.cycle += shift;
+    }
+    let (decoded, tail) = Trace::decode(&trace.encode()).expect("restamped trace decodes");
+    assert!(tail == Tail::Clean && decoded.complete());
+    decoded
+}
+
+/// Fits a restamped trace and checks the phases still cover the
+/// records: the last phase ends at or after the last record's cycle.
+fn fit_covers_the_trace(last_cycle: u64) {
+    let trace = restamped(last_cycle);
+    let model = fit(&trace);
+    let last = model.phases.last().expect("one phase");
+    assert!(
+        last.end_cycle >= last_cycle,
+        "last phase {last:?} ends before the last record at {last_cycle}"
+    );
+    assert!(model.phases.iter().all(|p| p.start_cycle < p.end_cycle));
+    // The model still regenerates a runnable workload.
+    let mut fitted = FittedWorkload::from_model(&trace, &model);
+    record(&mut fitted).expect("fitted workload records");
+}
+
+/// Stamps ending at `u64::MAX`: `end_cycle` saturates instead of
+/// wrapping to 0 (which divided by zero when bucketing windows).
+#[test]
+fn fit_handles_stamps_ending_at_u64_max() {
+    fit_covers_the_trace(u64::MAX);
+}
+
+/// Stamps ending at `u64::MAX / 8`: window spans are computed without
+/// overflowing (a wrapped `end_cycle * i` placed the only phase at
+/// `[0, 0)`).
+#[test]
+fn fit_places_phases_for_stamps_ending_at_u64_max_over_8() {
+    fit_covers_the_trace(u64::MAX / 8);
 }

@@ -61,7 +61,7 @@ pub use multicore::{
 };
 pub use registry::{evaluation_set, find, kernel_names, registry, KernelEntry};
 pub use synthetic::{Synthetic, SyntheticConfig};
-pub use util::{checksum_block, fnv1a64, Checksum};
+pub use util::{fnv1a64, Checksum};
 
 use ftspm_sim::{Cpu, Dram, Program, SimError};
 

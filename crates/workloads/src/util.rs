@@ -1,6 +1,6 @@
 //! Shared helpers: deterministic input generation and checksumming.
 
-use ftspm_sim::{BlockId, Cpu, Dram, SimError};
+use ftspm_sim::{BlockId, Dram};
 use ftspm_testkit::Rng;
 
 /// FNV-1a over a stream of 32-bit words: the checksum every kernel
@@ -63,16 +63,6 @@ pub fn poke_words(dram: &mut Dram, block: BlockId, words: &[u32]) {
     for (i, w) in words.iter().enumerate() {
         dram.poke_word(block, (i as u32) * 4, *w);
     }
-}
-
-/// Reads `n` words of a block through the CPU, feeding a checksum (models
-/// the program consuming its output).
-pub fn checksum_block(cpu: &mut Cpu<'_, '_>, block: BlockId, n: u32) -> Result<u64, SimError> {
-    let mut c = Checksum::new();
-    for i in 0..n {
-        c.push(cpu.read_u32(block, i * 4)?);
-    }
-    Ok(c.value())
 }
 
 #[cfg(test)]
